@@ -38,7 +38,6 @@ from .estimation import (
     q_score_beta,
     q_score_phi,
 )
-from .links import LINKS, LogLink, get_link
 from .mc import McConfig, McReport, run_mc_study
 from .model import (
     bs_log_density,
@@ -67,9 +66,6 @@ __all__ = [
     "Cluster",
     "ClusteredDataset",
     "ModelParams",
-    "LogLink",
-    "LINKS",
-    "get_link",
     "log_bessel_k_half",
     "log_bessel_k_half_scaled",
     "log_gig_normalizer",

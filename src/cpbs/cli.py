@@ -89,9 +89,9 @@ def cmd_fit(args) -> int:
     data = load_csv(args.data, spec)
     config = EmConfig(epsilon=args.epsilon, max_iter=args.max_iter)
     if args.method == "em":
-        fit = em_fit(data, spec.link, config)
+        fit = em_fit(data, config)
     else:
-        fit = direct_ml_fit(data, spec.link)
+        fit = direct_ml_fit(data)
     if fit.converged and args.boot >= 2:
         bootstrap_se(data, spec.link, fit, B=args.boot, seed=args.seed, workers=args.workers)
     report = FitReport.from_fit(data, spec, fit, epsilon=args.epsilon, seed=args.seed)
@@ -107,10 +107,12 @@ def cmd_diagnose(args) -> int:
     report = FitReport.from_json_file(args.fit)
     data = load_csv(args.data, report.spec)
     report.check_matches(data)
+    if not report.converged:
+        # refuse before any file is written: the envelopes need a converged fit
+        raise _UsageError("envelopes require a converged fit")
     params = report.params()
-    link = report.spec.link
 
-    res = pearson_residuals(data, params, link)
+    res = pearson_residuals(data, params)
     labels = [str(data.clusters[k].id) for k in data.cluster_index]
     idx = _within_cluster_index(data)
     y = data.y_stacked
@@ -129,7 +131,7 @@ def cmd_diagnose(args) -> int:
             ])
 
     bands = simulated_envelopes(
-        data, fit_like, link, m=args.envelope_m, seed=args.seed, workers=args.workers
+        data, fit_like, m=args.envelope_m, seed=args.seed, workers=args.workers
     )
     with open(f"{args.out_dir}/envelope.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -142,8 +144,8 @@ def cmd_diagnose(args) -> int:
             ])
         w.writerow(["coverage", repr(float(bands.coverage)), "", "", ""])
 
-    delta = posterior_moments(data, params, link).delta
-    infl = gcd_one_step(data, params, delta, link)
+    delta = posterior_moments(data, params).delta
+    infl = gcd_one_step(data, params, delta)
     order = np.argsort(-infl.gcd1, kind="stable")
     with open(f"{args.out_dir}/gcd.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -227,7 +229,7 @@ def cmd_mc(args) -> int:
         raise ConfigSchemaError(f"invalid theta in study config: {e}") from None
     config = McConfig(
         q=int(q), n_k=int(n_k), theta_true=theta, reps=int(reps), seed=int(seed),
-        covariates=tuple(covariates) if covariates else (),
+        covariates=tuple(covariates) if covariates else (), link=raw.get("link", "log"),
     )
     report = run_mc_study(config, workers=args.workers)
     _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True), args.out)
@@ -251,7 +253,7 @@ def build_parser() -> _Parser:
     p_fit.add_argument("--cluster", required=True, help="cluster label column")
     p_fit.add_argument("--covariates", required=True, help="comma-separated covariate columns")
     p_fit.add_argument("--no-intercept", action="store_true", help="do not prepend an intercept")
-    p_fit.add_argument("--link", default="log", help="link function (default: log)")
+    p_fit.add_argument("--link", default="log", help="link function; only the default, log, is supported")
     p_fit.add_argument("--method", choices=["em", "direct"], default="em")
     p_fit.add_argument("--boot", type=int, default=500,
                        help="bootstrap replications for SEs (default 500; 0 skips)")

@@ -5,8 +5,8 @@ Pearson residuals standardize each count by the marginal moments implied by
 the fit,
 
     r_kj = (y_kj - lambda_kj) / sigma_kj,
-    lambda_kj  = g^-1(x'beta) (1 + phi^2/2),
-    sigma_kj^2 = lambda_kj + [g^-1(x'beta) phi]^2 (1 + 5 phi^2/4).
+    lambda_kj  = exp(x'beta) (1 + phi^2/2),
+    sigma_kj^2 = lambda_kj + [exp(x'beta) phi]^2 (1 + 5 phi^2/4).
 
 They have mean zero and unit variance in large samples but are skewed, so
 normal-quantile plots are read against simulated envelopes: m datasets are
@@ -33,7 +33,6 @@ from . import _util
 from .data import ClusteredDataset, ModelParams
 from .estimation import EmConfig, FitResult, em_fit
 from .exceptions import BootstrapFailureError, CpbsError, RankDeficiencyError
-from .links import get_link
 from .model import bs_mean, bs_variance
 from .simulate import simulate_responses
 
@@ -81,14 +80,13 @@ def _params_of(fitted) -> ModelParams:
     return fitted.params if isinstance(fitted, FitResult) else fitted
 
 
-def pearson_residuals(data: ClusteredDataset, fitted, link="log") -> ResidualSet:
+def pearson_residuals(data: ClusteredDataset, fitted) -> ResidualSet:
     """Standardized residuals under the fitted marginal moments."""
     params = _params_of(fitted)
-    link = get_link(link)
     eta = data.X_stacked @ params.beta
     if not np.all(np.isfinite(eta)):
         raise ValueError("non-finite linear predictor")
-    mu = link.inverse(eta)
+    mu = np.exp(eta)
     phi = params.phi
     lam = mu * bs_mean(phi)
     sigma2 = lam + mu**2 * bs_variance(phi)
@@ -97,22 +95,21 @@ def pearson_residuals(data: ClusteredDataset, fitted, link="log") -> ResidualSet
 
 
 def _envelope_replicate(args):
-    data, params, link_name, ss = args
+    data, params, ss = args
     rng = np.random.default_rng(ss)
-    sim = simulate_responses(data, params, rng, link_name)
+    sim = simulate_responses(data, params, rng)
     try:
-        refit = em_fit(sim, link_name, EmConfig(init=params, max_iter=1500))
+        refit = em_fit(sim, EmConfig(init=params, max_iter=1500))
     except CpbsError:
         return None
     if not refit.converged:
         return None
-    return np.sort(pearson_residuals(sim, refit, link_name).r)
+    return np.sort(pearson_residuals(sim, refit).r)
 
 
 def simulated_envelopes(
     data: ClusteredDataset,
     fitted: FitResult,
-    link="log",
     m: int = 100,
     seed: int = 0,
     workers=None,
@@ -130,8 +127,7 @@ def simulated_envelopes(
     if m < 20:
         raise ValueError("m must be >= 20")
     params = _params_of(fitted)
-    link = get_link(link)
-    jobs = [(data, params, link.name, ss) for ss in _util.replicate_seeds(seed, m)]
+    jobs = [(data, params, ss) for ss in _util.replicate_seeds(seed, m)]
     results = _util.pmap(_envelope_replicate, jobs, workers)
     kept = [r for r in results if r is not None]
     dropped = m - len(kept)
@@ -142,12 +138,12 @@ def simulated_envelopes(
     sims = np.vstack(kept)
     lo = np.percentile(sims, 2.5, axis=0)
     hi = np.percentile(sims, 97.5, axis=0)
-    sorted_r = np.sort(pearson_residuals(data, params, link).r)
+    sorted_r = np.sort(pearson_residuals(data, params).r)
     coverage = float(np.mean((sorted_r >= lo) & (sorted_r <= hi)))
     return EnvelopeBands(sorted_r=sorted_r, lo=lo, hi=hi, m=m, coverage=coverage, n_dropped=dropped)
 
 
-def gcd_one_step(data: ClusteredDataset, fitted, delta: np.ndarray, link="log") -> InfluenceSet:
+def gcd_one_step(data: ClusteredDataset, fitted, delta: np.ndarray) -> InfluenceSet:
     """One-step generalized Cook's distance per observation.
 
     ``delta`` holds the posterior means E(T_k | y) at the fitted parameters,
@@ -155,11 +151,10 @@ def gcd_one_step(data: ClusteredDataset, fitted, delta: np.ndarray, link="log") 
     :func:`cpbs.estimation.posterior_moments`).
     """
     params = _params_of(fitted)
-    link = get_link(link)
     delta = np.atleast_1d(np.asarray(delta, dtype=np.float64))
     if delta.shape != (data.q,) or np.any(delta <= 0.0):
         raise ValueError("delta must hold one positive value per cluster")
-    mu = link.inverse(data.X_stacked @ params.beta)
+    mu = np.exp(data.X_stacked @ params.beta)
     g = np.repeat(delta, data.sizes) * mu
     a = data.y_stacked - g
     X = data.X_stacked

@@ -15,7 +15,10 @@ is closed form,
 
 non-negative by Cauchy-Schwarz on the posterior.  Direct maximization of the
 observed log-likelihood over (beta, log phi) is provided as a cross-check;
-the EM path is the robust default.
+the EM path is the robust default.  Both run on one Bessel pass per cluster,
+which yields the log-likelihood and the posterior moments together; by the
+Fisher identity grad l(theta) = grad Q(theta | theta), those moments give
+the direct fit its exact score, so no derivative is taken numerically.
 
 Standard errors come from a parametric bootstrap (the observed-information
 route is deliberately not implemented): B datasets are simulated at the
@@ -34,8 +37,7 @@ import scipy.optimize
 from . import _util
 from .data import PHI_FLOOR, ClusteredDataset, ModelParams
 from .exceptions import BootstrapFailureError, CpbsError, MStepConvergenceError, RankDeficiencyError
-from .links import get_link
-from .model import _canonical_cluster_stats, _log_bracket, _scaled_prefactor
+from .model import _canonical_cluster_stats, _cluster_pass, _log_bracket
 from .simulate import simulate_responses
 
 __all__ = [
@@ -129,40 +131,20 @@ def conditional_moment(y, mu, phi: float, s: int) -> float:
     return math.exp(brackets[int(s)] - brackets[0])
 
 
-def _estep(data: ClusteredDataset, params: ModelParams, link):
-    """Moments delta/gamma (given-cluster order) and the observed log-likelihood.
-
-    The per-cluster pmf is the shift-0 bracket plus the prefactor, so the
-    log-likelihood falls out of the same Bessel pass that produces the
-    moments.
-    """
-    canon = data.canonical
-    y_tot, mu_tot, ylogmu, lgam = _canonical_cluster_stats(data, params, link)
-    q = y_tot.shape[0]
-    delta_c = np.empty(q)
-    gamma_c = np.empty(q)
-    ll_parts = []
-    for k in range(q):
-        br = _log_bracket(int(y_tot[k]), float(mu_tot[k]), params.phi, shifts=(-1, 0, 1))
-        delta_c[k] = math.exp(br[1] - br[0])
-        gamma_c[k] = math.exp(br[-1] - br[0])
-        ll_parts.append(
-            _scaled_prefactor(float(mu_tot[k]), params.phi)
-            + float(ylogmu[k])
-            - float(lgam[k])
-            + br[0]
-        )
-    order = np.array(canon.cluster_order)
-    delta = np.empty(q)
-    gamma = np.empty(q)
+def _estep(data: ClusteredDataset, params: ModelParams):
+    """Moments delta/gamma (given-cluster order) and the observed log-likelihood."""
+    ll, delta_c, gamma_c = _cluster_pass(data, params)
+    order = np.array(data.canonical.cluster_order)
+    delta = np.empty_like(delta_c)
+    gamma = np.empty_like(gamma_c)
     delta[order] = delta_c
     gamma[order] = gamma_c
-    return ConditionalMoments(delta, gamma), math.fsum(ll_parts)
+    return ConditionalMoments(delta, gamma), ll
 
 
-def posterior_moments(data: ClusteredDataset, params: ModelParams, link="log") -> ConditionalMoments:
+def posterior_moments(data: ClusteredDataset, params: ModelParams) -> ConditionalMoments:
     """delta_k and gamma_k for every cluster at the given parameters."""
-    return _estep(data, params, get_link(link))[0]
+    return _estep(data, params)[0]
 
 
 def _moments_canonical(data: ClusteredDataset, moments: ConditionalMoments):
@@ -170,15 +152,14 @@ def _moments_canonical(data: ClusteredDataset, moments: ConditionalMoments):
     return moments.delta[order], moments.gamma[order]
 
 
-def q_function(data: ClusteredDataset, params: ModelParams, moments: ConditionalMoments, link="log") -> float:
+def q_function(data: ClusteredDataset, params: ModelParams, moments: ConditionalMoments) -> float:
     """Expected complete-data log-likelihood at ``params`` given fixed moments.
 
     Uses the same additive-constants convention as :func:`cpbs.model.log_likelihood`
     (the sqrt(2 pi) phi normalizer and log-factorials are included), so EM
     progress and observed log-likelihood values live on comparable scales.
     """
-    link = get_link(link)
-    y_tot, mu_tot, ylogmu, lgam = _canonical_cluster_stats(data, params, link)
+    y_tot, mu_tot, ylogmu, lgam = _canonical_cluster_stats(data, params)
     delta_c, gamma_c = _moments_canonical(data, moments)
     phi = params.phi
     inv2p2 = 0.5 / (phi * phi)
@@ -198,7 +179,6 @@ def _q_difference(
     new: ModelParams,
     old: ModelParams,
     moments: ConditionalMoments,
-    link,
 ) -> float:
     """Q(new; moments) - Q(old; moments) without large-term cancellation.
 
@@ -206,8 +186,8 @@ def _q_difference(
     the dispersion floor; forming the difference analytically keeps the
     convergence check meaningful at any phi.
     """
-    y_tot_n, mu_n, ylogmu_n, _ = _canonical_cluster_stats(data, new, link)
-    _, mu_o, ylogmu_o, _ = _canonical_cluster_stats(data, old, link)
+    y_tot_n, mu_n, ylogmu_n, _ = _canonical_cluster_stats(data, new)
+    _, mu_o, ylogmu_o, _ = _canonical_cluster_stats(data, old)
     delta_c, gamma_c = _moments_canonical(data, moments)
     q = y_tot_n.shape[0]
     beta_part = math.fsum(
@@ -220,14 +200,11 @@ def _q_difference(
     return beta_part + phi_part
 
 
-def q_score_beta(data: ClusteredDataset, params: ModelParams, delta: np.ndarray, link="log") -> np.ndarray:
-    """Analytic Q-function score for the coefficients (log link):
+def q_score_beta(data: ClusteredDataset, params: ModelParams, delta: np.ndarray) -> np.ndarray:
+    """Analytic Q-function score for the coefficients:
 
         dQ/dbeta_l = sum_kj (y_kj - delta_k mu_kj) x_kjl.
     """
-    link = get_link(link)
-    if link.name != "log":
-        raise NotImplementedError("coefficient score implemented for the log link")
     canon = data.canonical
     order = np.array(canon.cluster_order)
     delta_c = np.asarray(delta, dtype=np.float64)[order]
@@ -248,7 +225,6 @@ def m_step_beta(
     data: ClusteredDataset,
     delta: np.ndarray,
     beta_init: np.ndarray,
-    link="log",
     tol: float = 1e-10,
     max_iter: int = 100,
 ) -> np.ndarray:
@@ -259,9 +235,6 @@ def m_step_beta(
     are singular, MStepConvergenceError (carrying the last iterate) if the
     inner loop does not converge.
     """
-    link = get_link(link)
-    if link.name != "log":
-        raise NotImplementedError("the M-step is implemented for the log link")
     delta = np.atleast_1d(np.asarray(delta, dtype=np.float64))
     if delta.shape != (data.q,) or np.any(delta <= 0.0):
         raise ValueError("delta must hold one positive value per cluster")
@@ -336,13 +309,13 @@ def m_step_phi(moments: ConditionalMoments) -> float:
     return max(math.sqrt(max(mean_sum - 2.0, 0.0)), PHI_FLOOR)
 
 
-def _poisson_glm_init(data: ClusteredDataset, link) -> ModelParams:
+def _poisson_glm_init(data: ClusteredDataset) -> ModelParams:
     """Plain Poisson fit ignoring clustering, plus method-of-moments dispersion.
 
     The dispersion start matches the pooled Pearson overdispersion statistic
     to the model's variance function and is clamped to [0.05, 5].
     """
-    beta = m_step_beta(data, np.ones(data.q), np.zeros(data.p), link, tol=1e-8)
+    beta = m_step_beta(data, np.ones(data.q), np.zeros(data.p), tol=1e-8)
     canon = data.canonical
     mu = np.exp(canon.X @ beta)
     num = float(np.sum((canon.y - mu) ** 2 - mu))
@@ -354,7 +327,7 @@ def _poisson_glm_init(data: ClusteredDataset, link) -> ModelParams:
     return ModelParams(beta=beta, phi=phi0)
 
 
-def _resolve_init(data, link, init) -> ModelParams:
+def _resolve_init(data, init) -> ModelParams:
     if isinstance(init, ModelParams):
         # starting dispersion is kept inside the initializer band: near the
         # floor the Q-change criterion is hypersensitive (its phi-curvature
@@ -362,11 +335,11 @@ def _resolve_init(data, link, init) -> ModelParams:
         phi0 = min(max(init.phi, 0.05), 5.0)
         return init if phi0 == init.phi else ModelParams(beta=init.beta, phi=phi0)
     if init == "poisson-glm" or init is None:
-        return _poisson_glm_init(data, link)
+        return _poisson_glm_init(data)
     raise ValueError(f"unknown initialization {init!r}")
 
 
-def _floor_is_attractor(data, beta, link, ll_reference) -> bool:
+def _floor_is_attractor(data, beta, ll_reference) -> bool:
     """Decide whether the dispersion iteration effectively terminates at the floor.
 
     Evaluates one dispersion update started from the floor: if it stays
@@ -377,13 +350,13 @@ def _floor_is_attractor(data, beta, link, ll_reference) -> bool:
     log-likelihood at the floor must also not fall below the ascent path.
     """
     at_floor = ModelParams(beta=beta, phi=PHI_FLOOR)
-    moments, ll_floor = _estep(data, at_floor, link)
+    moments, ll_floor = _estep(data, at_floor)
     if ll_floor < ll_reference - 1e-12:
         return False
     return m_step_phi(moments) <= PHI_FLOOR * (1.0 + 1e-3)
 
 
-def em_fit(data: ClusteredDataset, link="log", config: EmConfig | None = None) -> FitResult:
+def em_fit(data: ClusteredDataset, config: EmConfig | None = None) -> FitResult:
     """Fit by EM: alternate posterior moments with the two M-step updates.
 
     Stops when max(|Q(theta_new; theta) - Q(theta; theta)|,
@@ -401,9 +374,8 @@ def em_fit(data: ClusteredDataset, link="log", config: EmConfig | None = None) -
     is reported as effectively Poisson.
     """
     config = EmConfig() if config is None else config
-    link = get_link(link)
     data.assert_full_rank()
-    params = _resolve_init(data, link, config.init)
+    params = _resolve_init(data, config.init)
     beta, phi = params.beta, params.phi
 
     trace = []
@@ -414,9 +386,9 @@ def em_fit(data: ClusteredDataset, link="log", config: EmConfig | None = None) -
     next_snap_check = 8
     for r in range(config.max_iter):
         cur = ModelParams(beta=beta, phi=phi)
-        moments, ll = _estep(data, cur, link)
+        moments, ll = _estep(data, cur)
         trace.append(ll)
-        beta_new = m_step_beta(data, moments.delta, beta, link)
+        beta_new = m_step_beta(data, moments.delta, beta)
         if phi_pinned:
             phi_new = PHI_FLOOR
         else:
@@ -427,11 +399,11 @@ def em_fit(data: ClusteredDataset, link="log", config: EmConfig | None = None) -
                 phi_pinned = True
             elif phi_new < 0.25 and phi_decreasing >= next_snap_check:
                 next_snap_check = phi_decreasing + 25
-                if _floor_is_attractor(data, beta_new, link, ll):
+                if _floor_is_attractor(data, beta_new, ll):
                     phi_new = PHI_FLOOR
                     phi_pinned = True
         new = ModelParams(beta=beta_new, phi=phi_new)
-        dq = abs(_q_difference(data, new, cur, moments, link))
+        dq = abs(_q_difference(data, new, cur, moments))
         dtheta = max(float(np.max(np.abs(beta_new - beta))), abs(phi_new - phi))
         beta, phi = beta_new, phi_new
         if max(dq, dtheta) < config.epsilon:
@@ -439,7 +411,7 @@ def em_fit(data: ClusteredDataset, link="log", config: EmConfig | None = None) -
             iterations = r + 1
             break
     fitted = ModelParams(beta=beta, phi=phi)
-    _, ll_final = _estep(data, fitted, link)
+    _, ll_final = _estep(data, fitted)
     trace.append(ll_final)
     at_floor = bool(phi <= PHI_FLOOR * (1.0 + 1e-3))
     if converged:
@@ -458,63 +430,52 @@ def em_fit(data: ClusteredDataset, link="log", config: EmConfig | None = None) -
     )
 
 
-def _fd_gradient(fun, z: np.ndarray) -> np.ndarray:
-    """Central finite differences with per-coordinate step 1e-6 * (1 + |z_i|)."""
-    g = np.empty_like(z)
-    for i in range(z.shape[0]):
-        h = 1e-6 * (1.0 + abs(float(z[i])))
-        zp, zm = z.copy(), z.copy()
-        zp[i] += h
-        zm[i] -= h
-        g[i] = (fun(zp) - fun(zm)) / (2.0 * h)
-    return g
+def _direct_objective(data: ClusteredDataset, z: np.ndarray):
+    """Negative log-likelihood and its exact gradient at z = (beta, log phi).
+
+    One E-step pass gives both: the observed score equals the Q-function
+    score at the current moments (Fisher identity), and d/dlog(phi) is
+    phi * d/dphi.  Parameters the model cannot evaluate give an infinite
+    objective, which the line search backs away from.
+    """
+    p = data.p
+    try:
+        params = ModelParams(beta=z[:p], phi=math.exp(float(z[p])))
+        moments, ll = _estep(data, params)
+    except (ValueError, OverflowError, FloatingPointError):
+        return np.inf, np.full(p + 1, np.nan)
+    score = np.append(q_score_beta(data, params, moments.delta), params.phi * q_score_phi(params, moments))
+    return -ll, -score
 
 
-def _fd_gradient_for(fun):
-    def jac(z):
-        return _fd_gradient(fun, np.asarray(z, dtype=np.float64))
-
-    return jac
-
-
-def direct_ml_fit(data: ClusteredDataset, link="log", init: ModelParams | None = None) -> FitResult:
+def direct_ml_fit(data: ClusteredDataset, init: ModelParams | None = None) -> FitResult:
     """Quasi-Newton (BFGS) maximization of the observed log-likelihood.
 
-    Optimizes over (beta, log phi) so the search is unconstrained; gradients
-    are central finite differences.  Line-search failure or a non-finite
-    objective yields a non-convergence flag rather than an exception; when
-    that happens, re-seeding from ``em_fit`` output is the recommended
-    fallback.
+    Optimizes over (beta, log phi) so the search is unconstrained.  The
+    gradient is the exact score from the same E-step pass that evaluates
+    the log-likelihood (no finite differences).  Line-search failure or a
+    non-finite objective yields a non-convergence flag rather than an
+    exception; when that happens, re-seeding from ``em_fit`` output is the
+    recommended fallback.
     """
-    from .model import log_likelihood
-
-    link = get_link(link)
     data.assert_full_rank()
-    start = _resolve_init(data, link, init)
+    start = _resolve_init(data, init)
     p = data.p
     z0 = np.concatenate([start.beta, [math.log(start.phi)]])
-
-    def nll(z):
-        try:
-            params = ModelParams(beta=z[:p], phi=math.exp(float(z[p])))
-            return -log_likelihood(data, params, link)
-        except (ValueError, OverflowError, FloatingPointError):
-            return np.inf
-
     trace = []
 
-    def record(zk):
-        trace.append(-nll(zk))
+    def record(intermediate_result):
+        trace.append(-float(intermediate_result.fun))
 
     res = scipy.optimize.minimize(
-        nll, z0, jac=_fd_gradient_for(nll), method="BFGS",
+        lambda z: _direct_objective(data, z), z0, jac=True, method="BFGS",
         callback=record, options={"gtol": 1e-5, "maxiter": 200},
     )
     grad_ok = np.all(np.isfinite(res.jac)) and float(np.max(np.abs(res.jac))) <= 1e-3
     converged = bool(res.success or (np.isfinite(res.fun) and grad_ok))
     phi_hat = max(math.exp(float(res.x[p])), PHI_FLOOR)
     fitted = ModelParams(beta=res.x[:p], phi=phi_hat)
-    ll_final = -nll(np.concatenate([fitted.beta, [math.log(fitted.phi)]]))
+    ll_final = -_direct_objective(data, np.concatenate([fitted.beta, [math.log(fitted.phi)]]))[0]
     trace.append(ll_final)
     return FitResult(
         params=fitted,
@@ -529,11 +490,11 @@ def direct_ml_fit(data: ClusteredDataset, link="log", init: ModelParams | None =
 
 
 def _bootstrap_replicate(args):
-    data, params, link_name, ss = args
+    data, params, ss = args
     rng = np.random.default_rng(ss)
-    sim = simulate_responses(data, params, rng, link_name)
+    sim = simulate_responses(data, params, rng)
     try:
-        fit = em_fit(sim, link_name, EmConfig(init=params, max_iter=1500))
+        fit = em_fit(sim, EmConfig(init=params, max_iter=1500))
     except CpbsError:
         return None
     return fit.params.as_array() if fit.converged else None
@@ -554,15 +515,17 @@ def bootstrap_se(
     standard deviations.  Replicates that fail to converge are dropped and
     counted; more than 10% dropped is an error.  Results are deterministic
     in ``seed`` and independent of the worker count.  On success the fit
-    result's ``se``/``B``/``boot_dropped`` fields are filled in.
+    result's ``se``/``B``/``boot_dropped`` fields are filled in.  ``link``
+    must be ``"log"``, the only link the model has.
     """
+    if link != "log":
+        raise ValueError(f"unknown link {link!r}; only 'log' is supported")
     if not fitted.converged:
         raise ValueError("bootstrap requires a converged fit")
     B = int(B)
     if B < 2:
         raise ValueError("B must be >= 2")
-    link = get_link(link)
-    jobs = [(data, fitted.params, link.name, ss) for ss in _util.replicate_seeds(seed, B)]
+    jobs = [(data, fitted.params, ss) for ss in _util.replicate_seeds(seed, B)]
     results = _util.pmap(_bootstrap_replicate, jobs, workers)
     kept = [r for r in results if r is not None]
     dropped = B - len(kept)

@@ -29,7 +29,6 @@ from .exceptions import (
     ResponseTypeError,
     StaleFitError,
 )
-from .links import get_link
 
 __all__ = ["ModelSpec", "load_csv", "FitReport", "INTERCEPT_NAME"]
 
@@ -44,11 +43,12 @@ class ModelSpec:
     cluster: str
     covariates: tuple[str, ...]
     intercept: bool = True
-    link: str = "log"
+    link: str = "log"  # the only link the model has; kept in the report
 
     def __post_init__(self):
         object.__setattr__(self, "covariates", tuple(self.covariates))
-        get_link(self.link)
+        if self.link != "log":
+            raise ValueError(f"unknown link {self.link!r}; only 'log' is supported")
 
     @property
     def coef_names(self) -> list[str]:

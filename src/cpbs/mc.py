@@ -31,10 +31,12 @@ class McConfig:
     reps: int = 500
     seed: int = 0
     covariates: tuple = ()  # CovariateColumn entries; empty means the default pair
-    link: str = "log"
+    link: str = "log"  # the only link the model has; kept in the report
     em_max_iter: int = 2500  # slow interior EM crawls need more room than the default
 
     def __post_init__(self):
+        if self.link != "log":
+            raise ConfigSchemaError(f"unknown link {self.link!r}; only 'log' is supported")
         if self.q < 1 or self.n_k < 1:
             raise ConfigSchemaError("q and n_k must be >= 1")
         if self.reps < 1:
@@ -95,11 +97,11 @@ class McReport:
 
 
 def _mc_replicate(args):
-    design, theta, link, max_iter, ss = args
+    design, theta, max_iter, ss = args
     rng = np.random.default_rng(ss)
-    sim = simulate_responses(design, theta, rng, link)
+    sim = simulate_responses(design, theta, rng)
     try:
-        fit = em_fit(sim, link, EmConfig(max_iter=max_iter))
+        fit = em_fit(sim, EmConfig(max_iter=max_iter))
     except CpbsError:
         return None
     return fit.params.as_array() if fit.converged else None
@@ -118,7 +120,7 @@ def run_mc_study(config: McConfig, workers=None) -> McReport:
     design = generate_design(
         config.q, config.n_k, np.random.default_rng(design_seed), covariates=list(config.covariates)
     )
-    jobs = [(design, config.theta_true, config.link, config.em_max_iter, s) for s in rep_seeds]
+    jobs = [(design, config.theta_true, config.em_max_iter, s) for s in rep_seeds]
     results = _util.pmap(_mc_replicate, jobs, workers)
     kept = [(i, r) for i, r in enumerate(results) if r is not None]
     n_failed = config.reps - len(kept)

@@ -33,7 +33,6 @@ from scipy.special import gammaln
 
 from .bessel import log_bessel_k_half_scaled_table
 from .data import ClusteredDataset, ModelParams
-from .links import get_link
 
 __all__ = [
     "compute_mu",
@@ -48,21 +47,25 @@ __all__ = [
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def compute_mu(data: ClusteredDataset, params: ModelParams, link="log") -> np.ndarray:
-    """Per-observation means mu_kj = g^-1(x_kj' beta), in stacked row order."""
-    link = get_link(link)
-    X = data.X_stacked
-    if X.shape[1] != params.p:
-        raise ValueError(f"covariate dimension mismatch: X has p={X.shape[1]}, beta has p={params.p}")
+def _means(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Log-link means exp(X beta), refusing non-finite or non-positive values."""
     with np.errstate(over="ignore", invalid="ignore"):
-        eta = X @ params.beta
+        eta = X @ beta
     if not np.all(np.isfinite(eta)):
         raise ValueError("non-finite linear predictor")
     with np.errstate(over="ignore"):
-        mu = link.inverse(eta)
+        mu = np.exp(eta)
     if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
-        raise ValueError("link inverse produced non-positive or non-finite means")
+        raise ValueError("non-positive or non-finite means")
     return mu
+
+
+def compute_mu(data: ClusteredDataset, params: ModelParams) -> np.ndarray:
+    """Per-observation means mu_kj = exp(x_kj' beta), in stacked row order."""
+    X = data.X_stacked
+    if X.shape[1] != params.p:
+        raise ValueError(f"covariate dimension mismatch: X has p={X.shape[1]}, beta has p={params.p}")
+    return _means(X, params.beta)
 
 
 def bs_log_density(t, phi: float):
@@ -169,18 +172,10 @@ def cluster_log_pmf(y, mu, phi: float) -> float:
     return _scaled_prefactor(mu_tot, phi) + prod_term + bracket
 
 
-def _canonical_cluster_stats(data: ClusteredDataset, params: ModelParams, link):
+def _canonical_cluster_stats(data: ClusteredDataset, params: ModelParams):
     """Per-cluster sums in canonical order: (y_tot, mu_tot, y*log(mu), lgamma(y+1))."""
-    link = get_link(link)
     canon = data.canonical
-    with np.errstate(over="ignore", invalid="ignore"):
-        eta = canon.X @ params.beta
-    if not np.all(np.isfinite(eta)):
-        raise ValueError("non-finite linear predictor")
-    with np.errstate(over="ignore"):
-        mu = link.inverse(eta)
-    if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
-        raise ValueError("link inverse produced non-positive or non-finite means")
+    mu = _means(canon.X, params.beta)
     y = canon.y
     y_tot = np.add.reduceat(y, canon.starts)
     mu_tot = np.add.reduceat(mu, canon.starts)
@@ -189,24 +184,39 @@ def _canonical_cluster_stats(data: ClusteredDataset, params: ModelParams, link):
     return y_tot.astype(np.int64), mu_tot, ylogmu, lgam
 
 
-def log_likelihood(data: ClusteredDataset, params: ModelParams, link="log") -> float:
+def _cluster_pass(data: ClusteredDataset, params: ModelParams):
+    """One Bessel pass per canonical cluster: the log-likelihood and the moments.
+
+    Returns ``(loglik, delta, gamma)`` with delta_k = E(T_k | y) and gamma_k =
+    E(T_k^-1 | y) in canonical cluster order.  The cluster pmf is the shift-0
+    bracket plus the prefactor, and the moments are ratios of the shifted
+    brackets to it, so a single table per cluster serves all three.  The
+    recurrence runs forward in the order, so the extra order the moments
+    need leaves the shift-0 entries, and with them the log-likelihood,
+    unchanged.
+    """
+    y_tot, mu_tot, ylogmu, lgam = _canonical_cluster_stats(data, params)
+    phi = params.phi
+    q = y_tot.shape[0]
+    delta = np.empty(q)
+    gamma = np.empty(q)
+    parts = []
+    for k in range(q):
+        br = _log_bracket(int(y_tot[k]), float(mu_tot[k]), phi, shifts=(-1, 0, 1))
+        delta[k] = math.exp(br[1] - br[0])
+        gamma[k] = math.exp(br[-1] - br[0])
+        parts.append(_scaled_prefactor(float(mu_tot[k]), phi) + float(ylogmu[k]) - float(lgam[k]) + br[0])
+    return math.fsum(parts), delta, gamma
+
+
+def log_likelihood(data: ClusteredDataset, params: ModelParams) -> float:
     """Full-data log-likelihood, constants included.
 
     The constants (the sqrt(2 pi) phi normalizer and the log-factorials) are
     kept so that values are comparable across fitting methods and usable for
     information criteria.
     """
-    y_tot, mu_tot, ylogmu, lgam = _canonical_cluster_stats(data, params, link)
-    parts = []
-    for k in range(y_tot.shape[0]):
-        bracket = _log_bracket(int(y_tot[k]), float(mu_tot[k]), params.phi, shifts=(0,))[0]
-        parts.append(
-            _scaled_prefactor(float(mu_tot[k]), params.phi)
-            + float(ylogmu[k])
-            - float(lgam[k])
-            + bracket
-        )
-    return math.fsum(parts)
+    return _cluster_pass(data, params)[0]
 
 
 def model_moments(mu_i: float, mu_j: float, phi: float):

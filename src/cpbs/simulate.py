@@ -15,7 +15,6 @@ import numpy as np
 
 from .data import Cluster, ClusteredDataset, ModelParams
 from .exceptions import ConfigSchemaError
-from .links import get_link
 
 __all__ = [
     "sample_bs",
@@ -49,14 +48,11 @@ def sample_cluster(mu, phi: float, rng: np.random.Generator) -> np.ndarray:
     return rng.poisson(mu * t)
 
 
-def simulate_responses(
-    data: ClusteredDataset, params: ModelParams, rng: np.random.Generator, link="log"
-) -> ClusteredDataset:
+def simulate_responses(data: ClusteredDataset, params: ModelParams, rng: np.random.Generator) -> ClusteredDataset:
     """New dataset with the same clusters/covariates and model-simulated counts."""
-    link = get_link(link)
     out = []
     for c in data.clusters:
-        mu = link.inverse(c.X @ params.beta)
+        mu = np.exp(c.X @ params.beta)
         out.append(Cluster(id=c.id, y=sample_cluster(mu, params.phi, rng), X=c.X))
     return ClusteredDataset(tuple(out))
 
@@ -144,10 +140,9 @@ def simulate_dataset(
     seed: int,
     covariates: list[CovariateColumn] | None = None,
     intercept: bool = True,
-    link="log",
 ) -> ClusteredDataset:
     """Generate covariates and responses in one call, deterministically."""
     ss = np.random.SeedSequence(seed)
     rng_x, rng_y = [np.random.default_rng(s) for s in ss.spawn(2)]
     design = generate_design(q, n_k, rng_x, covariates=covariates, intercept=intercept)
-    return simulate_responses(design, params, rng_y, link=link)
+    return simulate_responses(design, params, rng_y)

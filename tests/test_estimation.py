@@ -22,9 +22,8 @@ from cpbs import (
     q_score_phi,
     simulate_dataset,
 )
-from cpbs.estimation import ConditionalMoments, _estep
+from cpbs.estimation import ConditionalMoments, _direct_objective, _estep
 from cpbs.exceptions import RankDeficiencyError
-from cpbs.links import get_link
 from conftest import S5_TRUTH, random_cluster, toy_dataset
 from oracles import conditional_moment_quad
 
@@ -186,8 +185,8 @@ class TestEmFit:
 
     def test_estep_matches_public_moments(self, s5_small):
         params = ModelParams(beta=np.array([2.5, -1.0, 0.5]), phi=0.5)
-        moments, ll = _estep(s5_small, params, get_link("log"))
-        assert ll == pytest.approx(log_likelihood(s5_small, params), rel=1e-12)
+        moments, ll = _estep(s5_small, params)
+        assert ll == log_likelihood(s5_small, params)
         for k, c in enumerate(s5_small.clusters):
             mu = np.exp(c.X @ params.beta)
             assert moments.delta[k] == pytest.approx(
@@ -198,7 +197,50 @@ class TestEmFit:
             )
 
 
+def _sparse_dataset():
+    """Singleton clusters, mostly zeros, plus four all-zero clusters of five rows."""
+    rng = np.random.default_rng(5)
+    X = np.column_stack([np.ones(60), rng.normal(size=60)])
+    clusters = [Cluster(id=f"s{i:02d}", y=np.array([rng.poisson(0.4)]), X=X[i : i + 1]) for i in range(40)]
+    clusters += [Cluster(id=f"z{i}", y=np.zeros(5, dtype=np.int64), X=X[40 + 5 * i : 45 + 5 * i]) for i in range(4)]
+    return ClusteredDataset(tuple(clusters))
+
+
+SCORE_CASES = {
+    "paper_cell": (lambda: simulate_dataset(7, 300, S5_TRUTH, seed=1), [3.02, -1.26, 0.74, 0.5]),
+    "heavy_totals": (
+        lambda: simulate_dataset(7, 300, ModelParams(beta=np.array([5.0, -1.25, 0.75]), phi=0.45), seed=3),
+        [5.01, -1.25, 0.75, 0.4],
+    ),
+    "singletons_and_zero_clusters": (_sparse_dataset, [-1.0, 0.3, 0.8]),
+    "q1": (lambda: simulate_dataset(1, 50, S5_TRUTH, seed=2), [3.0, -1.2, 0.7, 0.45]),
+    "phi_0.05": (lambda: simulate_dataset(7, 300, S5_TRUTH, seed=1), [3.0, -1.25, 0.75, 0.05]),
+    "phi_0.01": (lambda: simulate_dataset(7, 300, S5_TRUTH, seed=1), [3.0, -1.25, 0.75, 0.01]),
+}
+
+
 class TestDirectMl:
+    @pytest.mark.parametrize("case", sorted(SCORE_CASES))
+    def test_exact_score_matches_central_differences(self, case):
+        make, theta = SCORE_CASES[case]
+        data = make()
+        p = data.p
+        z = np.array(theta[:p] + [math.log(theta[p])])
+
+        def loglik(zz):
+            return log_likelihood(data, ModelParams(beta=zz[:p], phi=math.exp(zz[p])))
+
+        nll, grad = _direct_objective(data, z)
+        assert nll == -loglik(z)
+        fd = np.empty_like(z)
+        for i in range(z.size):
+            h = 1e-5 * (1.0 + abs(z[i]))
+            zp, zm = z.copy(), z.copy()
+            zp[i] += h
+            zm[i] -= h
+            fd[i] = (loglik(zp) - loglik(zm)) / (2 * h)
+        np.testing.assert_allclose(-grad, fd, rtol=1e-6)
+
     def test_cross_method_agreement(self):
         # sized so the optimum is interior and well separated; boundary fits
         # are a parameterization mismatch between the two methods

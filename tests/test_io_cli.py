@@ -242,9 +242,21 @@ class TestCliWorkflow:
         assert code == 2
         report = json.loads(out.read_text())  # report still emitted
         assert report["convergence"]["converged"] is False
+        # diagnose refuses the report before writing anything
+        out_dir = tmp_path / "diag"
+        out_dir.mkdir()
+        code = self.run_cli("diagnose", "--data", path, "--fit", out, "--out-dir", out_dir, "--envelope-m", 20)
+        assert code == 3
+        assert list(out_dir.iterdir()) == []
 
-    def test_exit_code_usage(self):
+    def test_exit_code_usage(self, sim_csv):
         assert self.run_cli("fit", "--data", "x.csv") == 3
+        _, path = sim_csv
+        code = self.run_cli(
+            "fit", "--data", path, "--response", "y", "--cluster", "cluster",
+            "--covariates", "x1,x2", "--boot", 0, "--link", "probit",
+        )
+        assert code == 3
 
     def test_exit_code_missing_file(self, tmp_path):
         code = self.run_cli(
@@ -268,6 +280,8 @@ class TestCliWorkflow:
     def test_exit_code_config_schema(self, tmp_path):
         cfg = tmp_path / "mc.json"
         cfg.write_text(json.dumps({"q": 2, "bogus_key": 1}))
+        assert self.run_cli("mc", "--config", cfg) == 9
+        cfg.write_text(json.dumps({"q": 2, "n_k": 5, "reps": 1, "link": "identity"}))
         assert self.run_cli("mc", "--config", cfg) == 9
 
     def test_residual_csv_self_consistent(self, diagnose_dir):

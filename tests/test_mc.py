@@ -23,6 +23,8 @@ class TestMcConfig:
             small_config(reps=0)
         with pytest.raises(ConfigSchemaError):
             McConfig(q=2, n_k=5, theta_true=ModelParams(beta=np.zeros(5), phi=0.3))
+        with pytest.raises(ConfigSchemaError):
+            small_config(link="identity")
 
     def test_param_names(self):
         assert small_config().param_names == ["beta0", "beta1", "beta2", "phi"]
