@@ -258,7 +258,9 @@ def build_parser() -> _Parser:
     p_fit.add_argument("--boot", type=int, default=500,
                        help="bootstrap replications for SEs (default 500; 0 skips)")
     p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--epsilon", type=float, default=1e-8)
+    p_fit.add_argument("--epsilon", type=float, default=1e-8,
+                       help="EM stops when the Newton decrement g'(-H)^-1 g is at most this "
+                            "(default 1e-8)")
     p_fit.add_argument("--max-iter", type=int, default=500)
     p_fit.add_argument("--workers", type=int, default=None)
     p_fit.add_argument("--out", default=None, help="report path (default: stdout)")

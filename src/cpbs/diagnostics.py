@@ -99,7 +99,7 @@ def _envelope_replicate(args):
     rng = np.random.default_rng(ss)
     sim = simulate_responses(data, params, rng)
     try:
-        refit = em_fit(sim, EmConfig(init=params, max_iter=1500))
+        refit = em_fit(sim, EmConfig(init=params))
     except CpbsError:
         return None
     if not refit.converged:

@@ -18,12 +18,20 @@ observed log-likelihood over (beta, log phi) is provided as a cross-check;
 the EM path is the robust default.  Both run on one Bessel pass per cluster,
 which yields the log-likelihood and the posterior moments together; by the
 Fisher identity grad l(theta) = grad Q(theta | theta), those moments give
-the direct fit its exact score, so no derivative is taken numerically.
+the exact score, so no derivative is taken numerically.
 
-Standard errors come from a parametric bootstrap (the observed-information
-route is deliberately not implemented): B datasets are simulated at the
-fitted parameters with the original design and cluster sizes, each refit by
-EM, and per-coordinate sample standard deviations reported.
+EM finishes with Newton steps on the exact observed information: the same
+pass, taken over order shifts -2..2, also gives E(T^2 | y) and E(T^-2 | y),
+and Louis' identity turns them into the observed Hessian in (beta, phi).  A
+fit is certified when that Hessian is negative definite and the Newton
+decrement g'(-H)^-1 g is at most ``EmConfig.epsilon``; at the dispersion
+floor, the certificate is the KKT condition of the bound.  EM steps remain
+the fallback wherever a Newton step cannot be trusted.
+
+Standard errors come from a parametric bootstrap; the observed information
+serves only the Newton finish.  B datasets are simulated at the fitted
+parameters with the original design and cluster sizes, each refit by EM, and
+per-coordinate sample standard deviations reported.
 """
 
 from __future__ import annotations
@@ -57,6 +65,8 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_MAX_HALVINGS = 10  # a Newton step that still lowers the log-likelihood at 1/1024 gives way to EM
+_MOMENT_ROUNDING = 2e-15  # absolute rounding of the posterior moments E(T^s | y)
 
 
 @dataclass(frozen=True)
@@ -79,7 +89,12 @@ class ConditionalMoments:
 
 @dataclass(frozen=True)
 class EmConfig:
-    """EM controls: absolute tolerance on max(|Q change|, |theta change|)."""
+    """EM controls.
+
+    ``epsilon`` is the tolerance on the Newton decrement g'(-H)^-1 g, twice
+    the log-likelihood gain a last Newton step would still predict;
+    ``max_iter`` bounds the iterations, one Bessel pass at each iterate.
+    """
 
     epsilon: float = 1e-8
     max_iter: int = 500
@@ -131,15 +146,21 @@ def conditional_moment(y, mu, phi: float, s: int) -> float:
     return math.exp(brackets[int(s)] - brackets[0])
 
 
+def _given_order(data: ClusteredDataset, *canonical):
+    """Arrays in canonical cluster order, rearranged to ``data.clusters`` order."""
+    order = np.array(data.canonical.cluster_order)
+    out = []
+    for a in canonical:
+        b = np.empty_like(a)
+        b[order] = a
+        out.append(b)
+    return out
+
+
 def _estep(data: ClusteredDataset, params: ModelParams):
     """Moments delta/gamma (given-cluster order) and the observed log-likelihood."""
-    ll, delta_c, gamma_c = _cluster_pass(data, params)
-    order = np.array(data.canonical.cluster_order)
-    delta = np.empty_like(delta_c)
-    gamma = np.empty_like(gamma_c)
-    delta[order] = delta_c
-    gamma[order] = gamma_c
-    return ConditionalMoments(delta, gamma), ll
+    ll, logm = _cluster_pass(data, params)
+    return ConditionalMoments(*_given_order(data, np.exp(logm[1]), np.exp(logm[-1]))), ll
 
 
 def posterior_moments(data: ClusteredDataset, params: ModelParams) -> ConditionalMoments:
@@ -172,32 +193,6 @@ def q_function(data: ClusteredDataset, params: ModelParams, moments: Conditional
         for k in range(q)
     ]
     return math.fsum(parts)
-
-
-def _q_difference(
-    data: ClusteredDataset,
-    new: ModelParams,
-    old: ModelParams,
-    moments: ConditionalMoments,
-) -> float:
-    """Q(new; moments) - Q(old; moments) without large-term cancellation.
-
-    The two dispersion terms carry 1/phi^2, which dwarfs the difference near
-    the dispersion floor; forming the difference analytically keeps the
-    convergence check meaningful at any phi.
-    """
-    y_tot_n, mu_n, ylogmu_n, _ = _canonical_cluster_stats(data, new)
-    _, mu_o, ylogmu_o, _ = _canonical_cluster_stats(data, old)
-    delta_c, gamma_c = _moments_canonical(data, moments)
-    q = y_tot_n.shape[0]
-    beta_part = math.fsum(
-        float(ylogmu_n[k]) - float(ylogmu_o[k]) - float(delta_c[k]) * (float(mu_n[k]) - float(mu_o[k]))
-        for k in range(q)
-    )
-    pn, po = new.phi, old.phi
-    dinv = (po - pn) * (po + pn) / (pn * pn * po * po)  # 1/pn^2 - 1/po^2
-    phi_part = q * dinv - q * math.log(pn / po) - 0.5 * dinv * float(np.sum(delta_c + gamma_c))
-    return beta_part + phi_part
 
 
 def q_score_beta(data: ClusteredDataset, params: ModelParams, delta: np.ndarray) -> np.ndarray:
@@ -329,98 +324,216 @@ def _poisson_glm_init(data: ClusteredDataset) -> ModelParams:
 
 def _resolve_init(data, init) -> ModelParams:
     if isinstance(init, ModelParams):
-        # starting dispersion is kept inside the initializer band: near the
-        # floor the Q-change criterion is hypersensitive (its phi-curvature
-        # scales like 1/phi^2), and a start there can stall the chain
-        phi0 = min(max(init.phi, 0.05), 5.0)
-        return init if phi0 == init.phi else ModelParams(beta=init.beta, phi=phi0)
+        return init
     if init == "poisson-glm" or init is None:
         return _poisson_glm_init(data)
     raise ValueError(f"unknown initialization {init!r}")
 
 
-def _floor_is_attractor(data, beta, ll_reference) -> bool:
-    """Decide whether the dispersion iteration effectively terminates at the floor.
+@dataclass(frozen=True)
+class _Pass:
+    """The log-likelihood, exact score and observed Hessian at one iterate.
 
-    Evaluates one dispersion update started from the floor: if it stays
-    within a 0.1% band of the floor, every subsequent update moves phi by
-    far less than any convergence tolerance, so the chain restarted there
-    is already settled in phi (the approach rate tends to one as phi falls,
-    which is why the vanilla iteration cannot get there on its own).  The
-    log-likelihood at the floor must also not fall below the ascent path.
+    Score and Hessian are in (beta, phi); delta and gamma are the posterior
+    moments in canonical cluster order, kept for the EM step.
     """
-    at_floor = ModelParams(beta=beta, phi=PHI_FLOOR)
-    moments, ll_floor = _estep(data, at_floor)
-    if ll_floor < ll_reference - 1e-12:
-        return False
-    return m_step_phi(moments) <= PHI_FLOOR * (1.0 + 1e-3)
+
+    params: ModelParams
+    loglik: float
+    score: np.ndarray
+    hessian: np.ndarray
+    delta: np.ndarray
+    gamma: np.ndarray
+
+
+def _louis_pass(data: ClusteredDataset, params: ModelParams) -> _Pass:
+    """One five-shift Bessel pass: the log-likelihood, exact score and Hessian.
+
+    With s_k = sum_j mu_kj x_kj and A = T + 1/T - 2, Louis' identity gives the
+    observed Hessian as the posterior mean of the complete-data Hessian plus
+    the posterior variance of the complete-data score:
+
+        H_bb = -sum_k delta_k sum_j mu x x' + sum_k Var(T) s_k s_k'
+        H_bp = -sum_k s_k Cov(T, A) / phi^3
+        H_pp = sum_k [1/phi^2 - 3 E(A)/phi^4 + Var(A)/phi^6]
+
+    E(T^2 | y) and E(T^-2 | y) come from order shifts +-2 of the same table.
+    The variances are formed from log-moment differences through expm1, so
+    they keep their relative accuracy when the posterior is tight.
+
+    Near the floor a cluster's dispersion terms come from the small-phi
+    expansion instead.  Its log-likelihood is even and smooth in phi,
+    l_k = l_k0 + b_k phi^2 + c_k phi^4 + O(phi^6), where, with cluster totals
+    y_k and M_k = sum_j mu_kj and r_k = y_k - M_k,
+
+        b_k = (r_k^2 - M_k) / 2
+        c_k = M_k^2 / 4 - M_k r_k / 2 - (M_k / 2 + 1/8) r_k^2
+
+    (expand T = 1 + phi Z + phi^2 Z^2 / 2 + phi^3 Z^3 / 8 + O(phi^5),
+    Z ~ N(0, 1), inside log E[T^y_k exp(-M_k (T - 1))]).  The moment form
+    of the score needs E(A) - phi^2 to O(phi^4), and that of H_pp needs
+    Var(A) to O(phi^6).  With the moments' absolute rounding e (about
+    _MOMENT_ROUNDING), the moment form's relative error is about
+    e / (phi^4 M_k) in the score and e / (phi^6 M_k) in H_pp, against
+    (phi^2 M_k)^2 for the expansion.  So each cluster takes the form with
+    the smaller error: the expansion for its score term where
+    phi^8 M_k^3 <= e, and for its Hessian terms where phi^10 M_k^3 <= e.
+    """
+    ll, lm = _cluster_pass(data, params, shifts=(-2, -1, 0, 1, 2))
+    canon = data.canonical
+    X = canon.X
+    phi = params.phi
+    delta, gamma = np.exp(lm[1]), np.exp(lm[-1])
+    var_t = delta * delta * np.expm1(lm[2] - 2.0 * lm[1])
+    var_inv = gamma * gamma * np.expm1(lm[-2] - 2.0 * lm[-1])
+    cov_t_inv = -np.expm1(lm[1] + lm[-1])
+    e_a = np.expm1(lm[1]) + np.expm1(lm[-1])
+    var_a = var_t + var_inv + 2.0 * cov_t_inv
+    cov_ta = var_t + cov_t_inv
+
+    mu = np.exp(X @ params.beta)
+    w = np.repeat(delta, canon.sizes) * mu
+    s = np.add.reduceat(X * mu[:, None], canon.starts, axis=0)
+    m = np.add.reduceat(mu, canon.starts)
+    r = np.add.reduceat(canon.y, canon.starts) - m
+    # the expansion may overflow where the means are huge; it is not taken there
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = 0.5 * (r * r - m)
+        c = 0.25 * m * m - 0.5 * m * r - (0.5 * m + 0.125) * r * r
+        db_dm = -(r + 0.5)
+        dc_dm = m + (m - 0.25) * r - 0.5 * r * r
+        m3 = m**3
+        series = phi**8 * m3 <= _MOMENT_ROUNDING
+        g_phi = np.where(series, 2.0 * phi * b + 4.0 * phi**3 * c, (e_a - phi * phi) / phi**3)
+        series = phi**10 * m3 <= _MOMENT_ROUNDING
+        h_bp = np.where(series, 2.0 * phi * db_dm + 4.0 * phi**3 * dc_dm, -cov_ta / phi**3)
+        h_pp = np.where(series, 2.0 * b + 12.0 * phi**2 * c, 1.0 / phi**2 - 3.0 * e_a / phi**4 + var_a / phi**6)
+
+    p = data.p
+    score = np.append(X.T @ (canon.y - w), float(np.sum(g_phi)))
+    hessian = np.empty((p + 1, p + 1))
+    hessian[:p, :p] = s.T @ (s * var_t[:, None]) - X.T @ (X * w[:, None])
+    hessian[:p, p] = hessian[p, :p] = s.T @ h_bp
+    hessian[p, p] = float(np.sum(h_pp))
+    return _Pass(params, ll, score, hessian, delta, gamma)
+
+
+def _newton_step(score: np.ndarray, hessian: np.ndarray, free: np.ndarray):
+    """The Newton step on the free coordinates and its decrement, or None.
+
+    None when the free block of the Hessian is not negative definite.  The
+    decrement g'(-H)^-1 g is twice the gain the local quadratic predicts.
+    """
+    g = score[free]
+    try:
+        chol = np.linalg.cholesky(-hessian[np.ix_(free, free)])
+    except np.linalg.LinAlgError:
+        return None
+    step = np.zeros_like(score)
+    step[free] = np.linalg.solve(chol.T, np.linalg.solve(chol, g))
+    return step, float(g @ step[free])
+
+
+def _psi_chart(cur: _Pass):
+    """Score and Hessian in (beta, psi = phi^2).
+
+    The log-likelihood is concave in psi where it is convex in phi below an
+    interior dispersion optimum (b > 0 > c in the small-phi expansion), so
+    this chart takes over where the Hessian in phi is not negative definite.
+    """
+    phi = cur.params.phi
+    g, h = cur.score.copy(), cur.hessian.copy()
+    g[-1] = cur.score[-1] / (2.0 * phi)
+    h[:-1, -1] = h[-1, :-1] = cur.hessian[:-1, -1] / (2.0 * phi)
+    h[-1, -1] = (cur.hessian[-1, -1] - cur.score[-1] / phi) / (4.0 * phi * phi)
+    return g, h
+
+
+def _try_step(data: ClusteredDataset, cur: _Pass, step: np.ndarray, psi: bool, halvings: int):
+    """The pass at the first of step, step/2, ... where the log-likelihood does not fall.
+
+    The last coordinate of ``step`` moves phi, or psi = phi^2 if ``psi``, and
+    the dispersion is projected onto phi >= PHI_FLOOR.  None if every trial
+    falls or leaves the model's domain.
+    """
+    beta, phi = cur.params.beta, cur.params.phi
+    for _ in range(halvings + 1):
+        if psi:
+            phi_new = math.sqrt(max(phi * phi + step[-1], PHI_FLOOR * PHI_FLOOR))
+        else:
+            phi_new = max(phi + step[-1], PHI_FLOOR)
+        try:
+            trial = _louis_pass(data, ModelParams(beta=beta + step[:-1], phi=phi_new))
+        except (ValueError, OverflowError, FloatingPointError):
+            trial = None
+        if trial is not None and trial.loglik >= cur.loglik:
+            return trial
+        step = 0.5 * step
+    return None
 
 
 def em_fit(data: ClusteredDataset, config: EmConfig | None = None) -> FitResult:
-    """Fit by EM: alternate posterior moments with the two M-step updates.
+    """Fit by EM with a guarded Newton finish on the exact observed information.
 
-    Stops when max(|Q(theta_new; theta) - Q(theta; theta)|,
-    ||theta_new - theta||_inf) falls below ``config.epsilon`` (absolute), or
-    flags non-convergence after ``config.max_iter`` iterations (the trace is
-    preserved either way).  The observed log-likelihood is recorded at every
-    iterate and is non-decreasing along the path.
+    Each iteration makes one Bessel pass at the iterate, which gives the
+    log-likelihood, the exact score and the Louis Hessian in (beta, phi).
+    The free coordinates are (beta, phi), or beta alone when phi sits at
+    PHI_FLOOR with a non-positive dispersion slope (the KKT condition of the
+    bound).  If the free Hessian is negative definite, the iteration takes
+    the Newton step, projected onto phi >= PHI_FLOOR and halved until the
+    log-likelihood does not fall.  Where it is not, the same is tried in
+    (beta, phi^2), in which the likelihood is concave below a small interior
+    dispersion optimum; failing both, or if halving fails, the iteration
+    takes an EM step (``m_step_beta`` plus ``m_step_phi``).
 
-    Dispersion boundary: when the dispersion path is collapsing, the MLE
-    sits at the floor and the vanilla iteration approaches it geometrically
-    with rate near one.  Once the iterate descends into the low-dispersion
-    region, the boundary is tested directly (a dispersion update started
-    from the floor stays at the floor, plus an ascent guard on the
-    log-likelihood) and the dispersion is pinned there, after which the fit
-    is reported as effectively Poisson.
+    The fit is certified, and ``converged`` set, when the free Hessian is
+    negative definite and the Newton decrement g'(-H)^-1 g is at most
+    ``config.epsilon``; that last Newton step is then taken if the
+    log-likelihood does not fall.  After ``config.max_iter`` iterations
+    without a certificate, non-convergence is flagged.  The observed
+    log-likelihood is recorded at every iterate, plus once at the returned
+    estimate, and is non-decreasing along the path.
     """
     config = EmConfig() if config is None else config
     data.assert_full_rank()
-    params = _resolve_init(data, config.init)
-    beta, phi = params.beta, params.phi
-
+    p = data.p
+    cur = _louis_pass(data, _resolve_init(data, config.init))
     trace = []
     converged = False
     iterations = config.max_iter
-    phi_pinned = False
-    phi_decreasing = 0
-    next_snap_check = 8
     for r in range(config.max_iter):
-        cur = ModelParams(beta=beta, phi=phi)
-        moments, ll = _estep(data, cur)
-        trace.append(ll)
-        beta_new = m_step_beta(data, moments.delta, beta)
-        if phi_pinned:
-            phi_new = PHI_FLOOR
-        else:
-            phi_new = m_step_phi(moments)
-            phi_decreasing = phi_decreasing + 1 if phi_new < phi else 0
-            if phi_new <= PHI_FLOOR:
-                # the update itself hit the clamp; the floor is certified
-                phi_pinned = True
-            elif phi_new < 0.25 and phi_decreasing >= next_snap_check:
-                next_snap_check = phi_decreasing + 25
-                if _floor_is_attractor(data, beta_new, ll):
-                    phi_new = PHI_FLOOR
-                    phi_pinned = True
-        new = ModelParams(beta=beta_new, phi=phi_new)
-        dq = abs(_q_difference(data, new, cur, moments))
-        dtheta = max(float(np.max(np.abs(beta_new - beta))), abs(phi_new - phi))
-        beta, phi = beta_new, phi_new
-        if max(dq, dtheta) < config.epsilon:
-            converged = True
-            iterations = r + 1
-            break
-    fitted = ModelParams(beta=beta, phi=phi)
-    _, ll_final = _estep(data, fitted)
-    trace.append(ll_final)
-    at_floor = bool(phi <= PHI_FLOOR * (1.0 + 1e-3))
+        trace.append(cur.loglik)
+        free = np.ones(p + 1, dtype=bool)
+        free[p] = not (cur.params.phi <= PHI_FLOOR and cur.score[p] <= 0.0)
+        psi = False
+        newton = _newton_step(cur.score, cur.hessian, free)
+        if newton is None and free[p]:
+            psi = True
+            newton = _newton_step(*_psi_chart(cur), free)
+        if newton is not None:
+            step, decrement = newton
+            if decrement <= config.epsilon:
+                converged = True
+                iterations = r + 1
+                cur = _try_step(data, cur, step, psi, halvings=0) or cur
+                break
+            nxt = _try_step(data, cur, step, psi, halvings=_MAX_HALVINGS)
+            if nxt is not None:
+                cur = nxt
+                continue
+        moments = ConditionalMoments(*_given_order(data, cur.delta, cur.gamma))
+        beta = m_step_beta(data, moments.delta, cur.params.beta)
+        cur = _louis_pass(data, ModelParams(beta=beta, phi=m_step_phi(moments)))
+    trace.append(cur.loglik)
+    fitted = cur.params
+    at_floor = bool(fitted.phi <= PHI_FLOOR * (1.0 + 1e-3))
     if converged:
         message = "dispersion at floor (effectively Poisson)" if at_floor else ""
     else:
-        message = "EM reached max_iter before the tolerance"
+        message = "EM reached max_iter before the Newton decrement tolerance"
     return FitResult(
         params=fitted,
-        loglik=ll_final,
+        loglik=cur.loglik,
         loglik_trace=np.array(trace),
         iterations=iterations,
         converged=converged,
@@ -460,6 +573,9 @@ def direct_ml_fit(data: ClusteredDataset, init: ModelParams | None = None) -> Fi
     """
     data.assert_full_rank()
     start = _resolve_init(data, init)
+    # the starting dispersion is kept inside the initializer band: in log phi
+    # the likelihood is flat near the floor, and BFGS stalls from there
+    start = ModelParams(beta=start.beta, phi=min(max(start.phi, 0.05), 5.0))
     p = data.p
     z0 = np.concatenate([start.beta, [math.log(start.phi)]])
     trace = []
@@ -494,7 +610,7 @@ def _bootstrap_replicate(args):
     rng = np.random.default_rng(ss)
     sim = simulate_responses(data, params, rng)
     try:
-        fit = em_fit(sim, EmConfig(init=params, max_iter=1500))
+        fit = em_fit(sim, EmConfig(init=params))
     except CpbsError:
         return None
     return fit.params.as_array() if fit.converged else None

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _util
 from .data import ModelParams
-from .estimation import EmConfig, em_fit
+from .estimation import em_fit
 from .exceptions import ConfigSchemaError, CpbsError
 from .simulate import CovariateColumn, default_covariate_spec, generate_design, simulate_responses
 
@@ -32,7 +32,6 @@ class McConfig:
     seed: int = 0
     covariates: tuple = ()  # CovariateColumn entries; empty means the default pair
     link: str = "log"  # the only link the model has; kept in the report
-    em_max_iter: int = 2500  # slow interior EM crawls need more room than the default
 
     def __post_init__(self):
         if self.link != "log":
@@ -41,8 +40,6 @@ class McConfig:
             raise ConfigSchemaError("q and n_k must be >= 1")
         if self.reps < 1:
             raise ConfigSchemaError("reps must be >= 1")
-        if self.em_max_iter < 1:
-            raise ConfigSchemaError("em_max_iter must be >= 1")
         cov = tuple(self.covariates) if self.covariates else tuple(default_covariate_spec())
         for c in cov:
             if not isinstance(c, CovariateColumn):
@@ -97,11 +94,11 @@ class McReport:
 
 
 def _mc_replicate(args):
-    design, theta, max_iter, ss = args
+    design, theta, ss = args
     rng = np.random.default_rng(ss)
     sim = simulate_responses(design, theta, rng)
     try:
-        fit = em_fit(sim, EmConfig(max_iter=max_iter))
+        fit = em_fit(sim)
     except CpbsError:
         return None
     return fit.params.as_array() if fit.converged else None
@@ -120,7 +117,7 @@ def run_mc_study(config: McConfig, workers=None) -> McReport:
     design = generate_design(
         config.q, config.n_k, np.random.default_rng(design_seed), covariates=list(config.covariates)
     )
-    jobs = [(design, config.theta_true, config.em_max_iter, s) for s in rep_seeds]
+    jobs = [(design, config.theta_true, s) for s in rep_seeds]
     results = _util.pmap(_mc_replicate, jobs, workers)
     kept = [(i, r) for i, r in enumerate(results) if r is not None]
     n_failed = config.reps - len(kept)

@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_2 = math.log(2.0)
 
 
 def _means(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -113,24 +114,29 @@ def _log_bracket(y_tot: int, mu_tot: float, phi: float, shifts=(0,)) -> dict[int
     omega = sqrt_c / phi2
     log_c = math.log1p(2.0 * phi2 * mu_tot)
 
-    def m_index(order: float) -> int:
-        # orders are exact half-integers, so truncation gives |order| - 1/2
-        return int(abs(order))
-
-    m_max = 0
-    for s in shifts:
-        t = y_tot + s
-        m_max = max(m_max, m_index(t + 0.5), m_index(t - 0.5))
-    table = log_bessel_k_half_scaled_table(m_max, omega)
+    # orders are exact half-integers, so int(abs(order)) is the table index
+    # |order| - 1/2, and the orders t +- 1/2 reach index |t| at most
+    m_max = max(abs(y_tot + s) for s in shifts)
+    table = log_bessel_k_half_scaled_table(m_max, omega).tolist()
 
     out = {}
     for s in shifts:
         t = y_tot + s
         o_hi, o_lo = t + 0.5, t - 0.5
-        term_hi = table[m_index(o_hi)] - 0.5 * o_hi * log_c
-        term_lo = table[m_index(o_lo)] - 0.5 * o_lo * log_c
-        out[s] = float(np.logaddexp(term_hi, term_lo))
+        term_hi = table[int(abs(o_hi))] - 0.5 * o_hi * log_c
+        term_lo = table[int(abs(o_lo))] - 0.5 * o_lo * log_c
+        out[s] = _logaddexp(term_hi, term_lo)
     return out
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """log(e^x + e^y) for finite floats, in the same operations as np.logaddexp."""
+    if x == y:
+        return x + _LOG_2
+    d = x - y
+    if d > 0.0:
+        return x + math.log1p(math.exp(-d))
+    return y + math.log1p(math.exp(d))
 
 
 def _scaled_prefactor(mu_tot: float, phi: float) -> float:
@@ -184,29 +190,28 @@ def _canonical_cluster_stats(data: ClusteredDataset, params: ModelParams):
     return y_tot.astype(np.int64), mu_tot, ylogmu, lgam
 
 
-def _cluster_pass(data: ClusteredDataset, params: ModelParams):
+def _cluster_pass(data: ClusteredDataset, params: ModelParams, shifts=(-1, 0, 1)):
     """One Bessel pass per canonical cluster: the log-likelihood and the moments.
 
-    Returns ``(loglik, delta, gamma)`` with delta_k = E(T_k | y) and gamma_k =
-    E(T_k^-1 | y) in canonical cluster order.  The cluster pmf is the shift-0
-    bracket plus the prefactor, and the moments are ratios of the shifted
-    brackets to it, so a single table per cluster serves all three.  The
-    recurrence runs forward in the order, so the extra order the moments
-    need leaves the shift-0 entries, and with them the log-likelihood,
-    unchanged.
+    Returns ``(loglik, logm)`` where ``logm[s]`` holds log E(T_k^s | y) for
+    every requested shift s, in canonical cluster order.  The cluster pmf is
+    the shift-0 bracket plus the prefactor, and the moments are ratios of the
+    shifted brackets to it, so a single table per cluster serves all of
+    them.  The recurrence runs forward in the order, so the extra orders the
+    moments need leave the shift-0 entries, and with them the
+    log-likelihood, unchanged.
     """
     y_tot, mu_tot, ylogmu, lgam = _canonical_cluster_stats(data, params)
     phi = params.phi
     q = y_tot.shape[0]
-    delta = np.empty(q)
-    gamma = np.empty(q)
+    logm = {s: np.empty(q) for s in shifts if s != 0}
     parts = []
     for k in range(q):
-        br = _log_bracket(int(y_tot[k]), float(mu_tot[k]), phi, shifts=(-1, 0, 1))
-        delta[k] = math.exp(br[1] - br[0])
-        gamma[k] = math.exp(br[-1] - br[0])
+        br = _log_bracket(int(y_tot[k]), float(mu_tot[k]), phi, shifts=shifts)
+        for s, col in logm.items():
+            col[k] = br[s] - br[0]
         parts.append(_scaled_prefactor(float(mu_tot[k]), phi) + float(ylogmu[k]) - float(lgam[k]) + br[0])
-    return math.fsum(parts), delta, gamma
+    return math.fsum(parts), logm
 
 
 def log_likelihood(data: ClusteredDataset, params: ModelParams) -> float:

@@ -22,7 +22,8 @@ from cpbs import (
     q_score_phi,
     simulate_dataset,
 )
-from cpbs.estimation import ConditionalMoments, _direct_objective, _estep
+from cpbs import estimation
+from cpbs.estimation import ConditionalMoments, _direct_objective, _estep, _louis_pass
 from cpbs.exceptions import RankDeficiencyError
 from conftest import S5_TRUTH, random_cluster, toy_dataset
 from oracles import conditional_moment_quad
@@ -52,7 +53,7 @@ class TestConditionalMoment:
         rng = np.random.default_rng(20250402)
         for _ in range(25):
             y, mu, phi = random_cluster(rng)
-            for s in (1, -1):
+            for s in (1, -1, 2, -2):
                 got = conditional_moment(y, mu, phi, s)
                 ref = conditional_moment_quad(y, mu, phi, s)
                 assert got == pytest.approx(ref, rel=1e-8), (y, mu, phi, s)
@@ -240,6 +241,10 @@ class TestDirectMl:
             zm[i] -= h
             fd[i] = (loglik(zp) - loglik(zm)) / (2 * h)
         np.testing.assert_allclose(-grad, fd, rtol=1e-6)
+        # the five-shift pass of the EM finish gives the same score in (beta, phi)
+        phi = math.exp(z[p])
+        score = _louis_pass(data, ModelParams(beta=z[:p], phi=phi)).score
+        np.testing.assert_allclose(np.append(score[:p], phi * score[p]), -grad, rtol=1e-9, atol=1e-9)
 
     def test_cross_method_agreement(self):
         # sized so the optimum is interior and well separated; boundary fits
@@ -335,3 +340,115 @@ class TestBootstrapSe:
         se = bootstrap_se(data, "log", fit, B=100, seed=3, workers=2)
         ratio = se / ref_spread
         assert np.all(ratio >= 1 / 1.5) and np.all(ratio <= 1.5)
+
+
+class TestLouisHessian:
+    @pytest.mark.parametrize("case", sorted(SCORE_CASES))
+    def test_hessian_matches_central_differences(self, case):
+        make, theta = SCORE_CASES[case]
+        data = make()
+        p = data.p
+        t = np.array(theta, dtype=float)
+
+        def score(tt):
+            return _louis_pass(data, ModelParams(beta=tt[:p], phi=tt[p])).score
+
+        hessian = _louis_pass(data, ModelParams(beta=t[:p], phi=t[p])).hessian
+        fd = np.empty_like(hessian)
+        for i in range(t.size):
+            h = 1e-5 * (1.0 + abs(t[i])) if i < p else 1e-5 * t[p]
+            tp, tm = t.copy(), t.copy()
+            tp[i] += h
+            tm[i] -= h
+            fd[:, i] = (score(tp) - score(tm)) / (2 * h)
+        assert np.max(np.abs(fd - hessian)) <= 1e-6 * np.max(np.abs(hessian))
+
+    @pytest.mark.parametrize("case", ["paper_cell", "heavy_totals", "q1", "singletons_and_zero_clusters"])
+    def test_small_phi_expansion_matches_the_moment_form(self, case, monkeypatch):
+        # at phi^2 max_k M_k = 3e-3 both forms of the dispersion terms hold:
+        # the moment form still resolves them, and the expansion's relative
+        # error is about (phi^2 M_k)^2
+        make, theta = SCORE_CASES[case]
+        data = make()
+        beta = np.array(theta[: data.p])
+        m_max = float(np.max([np.exp(c.X @ beta).sum() for c in data.clusters]))
+        params = ModelParams(beta=beta, phi=math.sqrt(3e-3 / m_max))
+        forms = {}
+        for name, rounding in (("series", np.inf), ("moments", 0.0)):
+            monkeypatch.setattr(estimation, "_MOMENT_ROUNDING", rounding)
+            forms[name] = _louis_pass(data, params)
+        series, moments = forms["series"], forms["moments"]
+        np.testing.assert_allclose(series.score, moments.score, rtol=1e-4)
+        scale = np.abs(moments.hessian).max()
+        np.testing.assert_allclose(series.hessian, moments.hessian, rtol=1e-3, atol=1e-3 * scale)
+
+
+def _intercept_only_floor_dataset():
+    """Four Poisson(50) clusters of 100 rows, intercept only: the MLE is at the floor."""
+    rng = np.random.default_rng(8)
+    y = rng.poisson(50.0, size=400)
+    return ClusteredDataset(tuple(
+        Cluster(id=f"c{k}", y=y[k * 100 : (k + 1) * 100], X=np.ones((100, 1))) for k in range(4)
+    ))
+
+
+HEAVY_TRUTH = ModelParams(beta=np.array([5.0, -1.25, 0.75]), phi=0.45)
+
+
+class TestCertification:
+    @pytest.mark.parametrize("truth,seed", [(S5_TRUTH, 1), (S5_TRUTH, 5), (HEAVY_TRUTH, 3), (HEAVY_TRUTH, 4)],
+                             ids=["paper_1", "paper_5", "heavy_3", "heavy_4"])
+    def test_benchmark_datasets_certify_and_match_direct(self, truth, seed):
+        data = simulate_dataset(7, 300, truth, seed=seed)
+        fit = em_fit(data)
+        assert fit.converged and not fit.phi_at_floor
+        assert fit.iterations <= 10
+        cur = _louis_pass(data, fit.params)
+        assert np.all(np.linalg.eigvalsh(cur.hessian) < 0.0)
+        decrement = float(cur.score @ np.linalg.solve(-cur.hessian, cur.score))
+        assert decrement <= EmConfig().epsilon
+        direct = direct_ml_fit(data)
+        assert direct.converged
+
+        def z(f):
+            return np.append(f.params.beta, math.log(f.params.phi))
+
+        np.testing.assert_allclose(z(fit), z(direct), rtol=0, atol=1e-6)
+        assert fit.loglik >= direct.loglik - 1e-9
+
+    @pytest.mark.parametrize("make", [_intercept_only_floor_dataset, lambda: simulate_dataset(1, 50, S5_TRUTH, seed=2)],
+                             ids=["intercept_only", "q1_seed2"])
+    def test_floor_fits_carry_the_kkt_certificate(self, make):
+        data = make()
+        fit = em_fit(data)
+        assert fit.converged and fit.phi_at_floor
+        assert fit.params.phi == PHI_FLOOR
+        assert "effectively Poisson" in fit.message
+        cur = _louis_pass(data, fit.params)
+        assert cur.score[-1] <= 0.0  # the likelihood does not rise with phi
+        p = data.p
+        hb = cur.hessian[:p, :p]
+        assert np.all(np.linalg.eigvalsh(hb) < 0.0)
+        assert float(cur.score[:p] @ np.linalg.solve(-hb, cur.score[:p])) <= EmConfig().epsilon
+        # a refit started at the certified floor fit certifies at once
+        refit = em_fit(data, config=EmConfig(init=fit.params))
+        assert refit.converged and refit.iterations == 1
+        assert refit.params.phi == PHI_FLOOR
+
+    def test_small_interior_dispersion_is_certified(self):
+        # Poisson responses on the intercept-only design: about a quarter of
+        # the replicates have an interior optimum at phi of 1e-3 to 2e-2,
+        # where the likelihood is convex in phi below the optimum
+        data = _intercept_only_floor_dataset()
+        fit = em_fit(data)
+        from cpbs.simulate import simulate_responses
+
+        interior = 0
+        for k in range(40):
+            sim = simulate_responses(data, fit.params, np.random.default_rng(900 + k))
+            refit = em_fit(sim, config=EmConfig(init=fit.params))
+            assert refit.converged, k
+            assert refit.iterations <= 12, k
+            assert np.all(np.diff(refit.loglik_trace) >= -1e-10), k
+            interior += not refit.phi_at_floor
+        assert interior >= 5
