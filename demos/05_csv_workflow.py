@@ -17,27 +17,28 @@ import numpy as np
 from cpbs import ModelParams, bootstrap_se, em_fit, load_csv, simulate_dataset
 from cpbs.io import FitReport, ModelSpec, write_dataset_csv
 
-workdir = Path(tempfile.mkdtemp(prefix="cpbs_demo_"))
 truth = ModelParams(beta=np.array([3.0, -1.25, 0.75]), phi=0.45)
 data = simulate_dataset(q=4, n_k=120, params=truth, seed=5)
 
-spec = ModelSpec(response="y", cluster="cluster", covariates=("x1", "x2"))
-csv_path = workdir / "counts.csv"
-write_dataset_csv(csv_path, data, spec)
-print(f"wrote {csv_path} ({data.n} rows, {data.q} clusters)")
+with tempfile.TemporaryDirectory(prefix="cpbs_demo_") as tmp:
+    workdir = Path(tmp)
+    spec = ModelSpec(response="y", cluster="cluster", covariates=("x1", "x2"))
+    csv_path = workdir / "counts.csv"
+    write_dataset_csv(csv_path, data, spec)
+    print(f"wrote {csv_path} ({data.n} rows, {data.q} clusters)")
 
-loaded = load_csv(csv_path, spec)
-print(f"reloaded: q={loaded.q}, sizes={list(loaded.sizes)}, p={loaded.p} (intercept prepended)")
+    loaded = load_csv(csv_path, spec)
+    print(f"reloaded: q={loaded.q}, sizes={list(loaded.sizes)}, p={loaded.p} (intercept prepended)")
 
-fit = em_fit(loaded)
-bootstrap_se(loaded, spec.link, fit, B=40, seed=11)
-report = FitReport.from_fit(loaded, spec, fit, epsilon=1e-8, seed=11)
+    fit = em_fit(loaded)
+    bootstrap_se(loaded, spec.link, fit, B=40, seed=11)
+    report = FitReport.from_fit(loaded, spec, fit, epsilon=1e-8, seed=11)
 
-out = workdir / "report.json"
-out.write_text(report.to_json())
-print(f"wrote {out}")
+    out = workdir / "report.json"
+    out.write_text(report.to_json())
+    print(f"wrote {out}")
 
-doc = json.loads(out.read_text())
+    doc = json.loads(out.read_text())
 print("\ncoefficient table:")
 print(f"{'name':>10} {'estimate':>9} {'se':>7} {'z':>7} {'p':>7} {'relativity':>10}")
 for c in doc["coefficients"]:

@@ -88,13 +88,10 @@ def cmd_fit(args) -> int:
     spec = _spec_from_args(args)
     data = load_csv(args.data, spec)
     config = EmConfig(epsilon=args.epsilon, max_iter=args.max_iter)
-    if args.method == "em":
-        fit = em_fit(data, config)
-    else:
-        fit = direct_ml_fit(data)
+    fit = (em_fit if args.method == "em" else direct_ml_fit)(data, config)
     if fit.converged and args.boot >= 2:
         bootstrap_se(data, spec.link, fit, B=args.boot, seed=args.seed, workers=args.workers)
-    report = FitReport.from_fit(data, spec, fit, epsilon=args.epsilon, seed=args.seed)
+    report = FitReport.from_fit(data, spec, fit, epsilon=config.epsilon, seed=args.seed)
     _emit(report.to_json(), args.out)
     return EXIT_OK if fit.converged else EXIT_NOT_CONVERGED
 
@@ -259,8 +256,8 @@ def build_parser() -> _Parser:
                        help="bootstrap replications for SEs (default 500; 0 skips)")
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--epsilon", type=float, default=1e-8,
-                       help="EM stops when the Newton decrement g'(-H)^-1 g is at most this "
-                            "(default 1e-8)")
+                       help="the fit is certified when the Newton decrement g'(-H)^-1 g is at "
+                            "most this (default 1e-8)")
     p_fit.add_argument("--max-iter", type=int, default=500)
     p_fit.add_argument("--workers", type=int, default=None)
     p_fit.add_argument("--out", default=None, help="report path (default: stdout)")

@@ -14,19 +14,19 @@ is closed form,
     phi = sqrt( mean_k(delta_k + gamma_k) - 2 ),
 
 non-negative by Cauchy-Schwarz on the posterior.  Direct maximization of the
-observed log-likelihood over (beta, log phi) is provided as a cross-check;
-the EM path is the robust default.  Both run on one Bessel pass per cluster,
-which yields the log-likelihood and the posterior moments together; by the
-Fisher identity grad l(theta) = grad Q(theta | theta), those moments give
-the exact score, so no derivative is taken numerically.
+observed log-likelihood is provided as a cross-check.  Both run on one Bessel
+pass per cluster, which yields the log-likelihood and the posterior moments
+together; by the Fisher identity grad l(theta) = grad Q(theta | theta), those
+moments give the exact score, so no derivative is taken numerically.
 
-EM finishes with Newton steps on the exact observed information: the same
-pass, taken over order shifts -2..2, also gives E(T^2 | y) and E(T^-2 | y),
-and Louis' identity turns them into the observed Hessian in (beta, phi).  A
-fit is certified when that Hessian is negative definite and the Newton
-decrement g'(-H)^-1 g is at most ``EmConfig.epsilon``; at the dispersion
-floor, the certificate is the KKT condition of the bound.  EM steps remain
-the fallback wherever a Newton step cannot be trusted.
+Both fits take guarded Newton steps on the exact observed information: the
+same pass, taken over order shifts -2..2, also gives E(T^2 | y) and
+E(T^-2 | y), and Louis' identity turns them into the observed Hessian in
+(beta, phi).  A fit is certified when that Hessian is negative definite and
+the Newton decrement g'(-H)^-1 g is at most ``EmConfig.epsilon``; at the
+dispersion floor, the certificate is the KKT condition of the bound.  Where
+a Newton step cannot be trusted, EM takes an EM step, and the direct fit a
+Newton step on the Hessian with its eigenvalues made negative.
 
 Standard errors come from a parametric bootstrap; the observed information
 serves only the Newton finish.  B datasets are simulated at the fitted
@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import _util
 from .data import PHI_FLOOR, ClusteredDataset, ModelParams
@@ -65,8 +64,9 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_MAX_HALVINGS = 10  # a Newton step that still lowers the log-likelihood at 1/1024 gives way to EM
+_MAX_HALVINGS = 10  # a Newton step that still lowers the log-likelihood at 1/1024 gives way to the fallback
 _MOMENT_ROUNDING = 2e-15  # absolute rounding of the posterior moments E(T^s | y)
+_EIGEN_FLOOR = 1e-8  # the modified Newton step bounds each curvature below by this share of the largest
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class ConditionalMoments:
 
 @dataclass(frozen=True)
 class EmConfig:
-    """EM controls.
+    """Controls of both fits, ``em_fit`` and ``direct_ml_fit``.
 
     ``epsilon`` is the tolerance on the Newton decrement g'(-H)^-1 g, twice
     the log-likelihood gain a last Newton step would still predict;
@@ -105,6 +105,8 @@ class EmConfig:
             raise ValueError("epsilon must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if not (isinstance(self.init, ModelParams) or self.init in ("poisson-glm", None)):
+            raise ValueError(f"unknown initialization {self.init!r}")
 
 
 @dataclass
@@ -157,15 +159,10 @@ def _given_order(data: ClusteredDataset, *canonical):
     return out
 
 
-def _estep(data: ClusteredDataset, params: ModelParams):
-    """Moments delta/gamma (given-cluster order) and the observed log-likelihood."""
-    ll, logm = _cluster_pass(data, params)
-    return ConditionalMoments(*_given_order(data, np.exp(logm[1]), np.exp(logm[-1]))), ll
-
-
 def posterior_moments(data: ClusteredDataset, params: ModelParams) -> ConditionalMoments:
     """delta_k and gamma_k for every cluster at the given parameters."""
-    return _estep(data, params)[0]
+    logm = _cluster_pass(data, params)[1]
+    return ConditionalMoments(*_given_order(data, np.exp(logm[1]), np.exp(logm[-1])))
 
 
 def _moments_canonical(data: ClusteredDataset, moments: ConditionalMoments):
@@ -322,14 +319,6 @@ def _poisson_glm_init(data: ClusteredDataset) -> ModelParams:
     return ModelParams(beta=beta, phi=phi0)
 
 
-def _resolve_init(data, init) -> ModelParams:
-    if isinstance(init, ModelParams):
-        return init
-    if init == "poisson-glm" or init is None:
-        return _poisson_glm_init(data)
-    raise ValueError(f"unknown initialization {init!r}")
-
-
 @dataclass(frozen=True)
 class _Pass:
     """The log-likelihood, exact score and observed Hessian at one iterate.
@@ -472,35 +461,59 @@ def _try_step(data: ClusteredDataset, cur: _Pass, step: np.ndarray, psi: bool, h
     return None
 
 
-def em_fit(data: ClusteredDataset, config: EmConfig | None = None) -> FitResult:
-    """Fit by EM with a guarded Newton finish on the exact observed information.
+def _em_step(data: ClusteredDataset, cur: _Pass, free: np.ndarray) -> _Pass:
+    """One EM step from the iterate: ``m_step_beta`` plus ``m_step_phi``."""
+    moments = ConditionalMoments(*_given_order(data, cur.delta, cur.gamma))
+    beta = m_step_beta(data, moments.delta, cur.params.beta)
+    return _louis_pass(data, ModelParams(beta=beta, phi=m_step_phi(moments)))
 
-    Each iteration makes one Bessel pass at the iterate, which gives the
-    log-likelihood, the exact score and the Louis Hessian in (beta, phi).
-    The free coordinates are (beta, phi), or beta alone when phi sits at
-    PHI_FLOOR with a non-positive dispersion slope (the KKT condition of the
-    bound).  If the free Hessian is negative definite, the iteration takes
+
+def _modified_newton_step(data: ClusteredDataset, cur: _Pass, free: np.ndarray):
+    """A Newton step on the free coordinates with -H made positive definite.
+
+    The eigenvalues of -H are replaced by their absolute values, floored at
+    _EIGEN_FLOOR times the largest, so the step rises along the score.  It is
+    projected and halved as a Newton step is; None if every halving falls.
+    """
+    w, v = np.linalg.eigh(-cur.hessian[np.ix_(free, free)])
+    w = np.maximum(np.abs(w), _EIGEN_FLOOR * np.abs(w).max())
+    step = np.zeros_like(cur.score)
+    step[free] = v @ ((v.T @ cur.score[free]) / w)
+    return _try_step(data, cur, step, psi=False, halvings=_MAX_HALVINGS)
+
+
+def _certified_fit(data: ClusteredDataset, config: EmConfig | None, fallback, method: str) -> FitResult:
+    """The guarded Newton loop on the exact observed information that both fits run.
+
+    The loop starts at ``config.init``.  Each iteration makes one Bessel pass
+    at the iterate, which gives the log-likelihood, the exact score and the
+    Louis Hessian in (beta, phi).  The free coordinates are (beta, phi), or
+    beta alone when phi sits at PHI_FLOOR with a non-positive dispersion
+    slope (the KKT condition of the bound).  If the free Hessian is negative definite, the iteration takes
     the Newton step, projected onto phi >= PHI_FLOOR and halved until the
     log-likelihood does not fall.  Where it is not, the same is tried in
     (beta, phi^2), in which the likelihood is concave below a small interior
     dispersion optimum; failing both, or if halving fails, the iteration
-    takes an EM step (``m_step_beta`` plus ``m_step_phi``).
+    takes ``fallback(data, cur, free)``, the next pass, or None if the
+    fallback finds no step that keeps the log-likelihood from falling.
 
     The fit is certified, and ``converged`` set, when the free Hessian is
     negative definite and the Newton decrement g'(-H)^-1 g is at most
     ``config.epsilon``; that last Newton step is then taken if the
     log-likelihood does not fall.  After ``config.max_iter`` iterations
-    without a certificate, non-convergence is flagged.  The observed
-    log-likelihood is recorded at every iterate, plus once at the returned
-    estimate, and is non-decreasing along the path.
+    without a certificate, or when the fallback finds no step,
+    non-convergence is flagged.  The observed log-likelihood is recorded at
+    every iterate, plus once at the returned estimate, and is non-decreasing
+    along the path.
     """
     config = EmConfig() if config is None else config
     data.assert_full_rank()
     p = data.p
-    cur = _louis_pass(data, _resolve_init(data, config.init))
+    start = config.init if isinstance(config.init, ModelParams) else _poisson_glm_init(data)
+    cur = _louis_pass(data, start)
     trace = []
     converged = False
-    iterations = config.max_iter
+    message = "max_iter reached before the Newton decrement tolerance"
     for r in range(config.max_iter):
         trace.append(cur.loglik)
         free = np.ones(p + 1, dtype=bool)
@@ -514,95 +527,52 @@ def em_fit(data: ClusteredDataset, config: EmConfig | None = None) -> FitResult:
             step, decrement = newton
             if decrement <= config.epsilon:
                 converged = True
-                iterations = r + 1
                 cur = _try_step(data, cur, step, psi, halvings=0) or cur
                 break
             nxt = _try_step(data, cur, step, psi, halvings=_MAX_HALVINGS)
             if nxt is not None:
                 cur = nxt
                 continue
-        moments = ConditionalMoments(*_given_order(data, cur.delta, cur.gamma))
-        beta = m_step_beta(data, moments.delta, cur.params.beta)
-        cur = _louis_pass(data, ModelParams(beta=beta, phi=m_step_phi(moments)))
+        nxt = fallback(data, cur, free)
+        if nxt is None:
+            message = "the fallback step lowered the log-likelihood at every halving"
+            break
+        cur = nxt
     trace.append(cur.loglik)
-    fitted = cur.params
-    at_floor = bool(fitted.phi <= PHI_FLOOR * (1.0 + 1e-3))
+    at_floor = bool(cur.params.phi <= PHI_FLOOR * (1.0 + 1e-3))
     if converged:
         message = "dispersion at floor (effectively Poisson)" if at_floor else ""
-    else:
-        message = "EM reached max_iter before the Newton decrement tolerance"
     return FitResult(
-        params=fitted,
+        params=cur.params,
         loglik=cur.loglik,
         loglik_trace=np.array(trace),
-        iterations=iterations,
+        iterations=r + 1,
         converged=converged,
-        method="em",
+        method=method,
         phi_at_floor=at_floor,
         message=message,
     )
 
 
-def _direct_objective(data: ClusteredDataset, z: np.ndarray):
-    """Negative log-likelihood and its exact gradient at z = (beta, log phi).
+def em_fit(data: ClusteredDataset, config: EmConfig | None = None) -> FitResult:
+    """Fit by EM with a guarded Newton finish on the exact observed information.
 
-    One E-step pass gives both: the observed score equals the Q-function
-    score at the current moments (Fisher identity), and d/dlog(phi) is
-    phi * d/dphi.  Parameters the model cannot evaluate give an infinite
-    objective, which the line search backs away from.
+    Runs ``_certified_fit``, with an EM step wherever no Newton step can be
+    taken.
     """
-    p = data.p
-    try:
-        params = ModelParams(beta=z[:p], phi=math.exp(float(z[p])))
-        moments, ll = _estep(data, params)
-    except (ValueError, OverflowError, FloatingPointError):
-        return np.inf, np.full(p + 1, np.nan)
-    score = np.append(q_score_beta(data, params, moments.delta), params.phi * q_score_phi(params, moments))
-    return -ll, -score
+    return _certified_fit(data, config, _em_step, "em")
 
 
-def direct_ml_fit(data: ClusteredDataset, init: ModelParams | None = None) -> FitResult:
-    """Quasi-Newton (BFGS) maximization of the observed log-likelihood.
+def direct_ml_fit(data: ClusteredDataset, config: EmConfig | None = None) -> FitResult:
+    """Direct maximization of the observed log-likelihood by guarded Newton steps.
 
-    Optimizes over (beta, log phi) so the search is unconstrained.  The
-    gradient is the exact score from the same E-step pass that evaluates
-    the log-likelihood (no finite differences).  Line-search failure or a
-    non-finite objective yields a non-convergence flag rather than an
-    exception; when that happens, re-seeding from ``em_fit`` output is the
-    recommended fallback.
+    Runs ``_certified_fit``, with the start, certificate, floor rule,
+    tolerance and iteration bound of ``em_fit``, but takes no EM step:
+    wherever no Newton step can be taken, it takes a modified Newton step
+    (``_modified_newton_step``).  If that step lowers the log-likelihood at
+    every halving, the fit stops and non-convergence is flagged.
     """
-    data.assert_full_rank()
-    start = _resolve_init(data, init)
-    # the starting dispersion is kept inside the initializer band: in log phi
-    # the likelihood is flat near the floor, and BFGS stalls from there
-    start = ModelParams(beta=start.beta, phi=min(max(start.phi, 0.05), 5.0))
-    p = data.p
-    z0 = np.concatenate([start.beta, [math.log(start.phi)]])
-    trace = []
-
-    def record(intermediate_result):
-        trace.append(-float(intermediate_result.fun))
-
-    res = scipy.optimize.minimize(
-        lambda z: _direct_objective(data, z), z0, jac=True, method="BFGS",
-        callback=record, options={"gtol": 1e-5, "maxiter": 200},
-    )
-    grad_ok = np.all(np.isfinite(res.jac)) and float(np.max(np.abs(res.jac))) <= 1e-3
-    converged = bool(res.success or (np.isfinite(res.fun) and grad_ok))
-    phi_hat = max(math.exp(float(res.x[p])), PHI_FLOOR)
-    fitted = ModelParams(beta=res.x[:p], phi=phi_hat)
-    ll_final = -_direct_objective(data, np.concatenate([fitted.beta, [math.log(fitted.phi)]]))[0]
-    trace.append(ll_final)
-    return FitResult(
-        params=fitted,
-        loglik=ll_final,
-        loglik_trace=np.array(trace),
-        iterations=int(res.nit),
-        converged=converged,
-        method="direct",
-        phi_at_floor=bool(phi_hat <= PHI_FLOOR * (1.0 + 1e-9)),
-        message="" if converged else f"optimizer: {res.message}",
-    )
+    return _certified_fit(data, config, _modified_newton_step, "direct")
 
 
 def _bootstrap_replicate(args):

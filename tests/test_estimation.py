@@ -23,7 +23,7 @@ from cpbs import (
     simulate_dataset,
 )
 from cpbs import estimation
-from cpbs.estimation import ConditionalMoments, _direct_objective, _estep, _louis_pass
+from cpbs.estimation import ConditionalMoments, _louis_pass
 from cpbs.exceptions import RankDeficiencyError
 from conftest import S5_TRUTH, random_cluster, toy_dataset
 from oracles import conditional_moment_quad
@@ -130,6 +130,11 @@ class TestMStepPhi:
 
 
 class TestEmFit:
+    @pytest.mark.parametrize("bad", [{"epsilon": 0.0}, {"max_iter": 0}, {"init": "moments"}])
+    def test_config_rejects_bad_controls(self, bad):
+        with pytest.raises(ValueError):
+            EmConfig(**bad)
+
     def test_fixed_point_terminates_immediately(self, s5_small, s5_small_fit):
         refit = em_fit(s5_small, config=EmConfig(init=s5_small_fit.params))
         assert refit.converged
@@ -186,8 +191,12 @@ class TestEmFit:
 
     def test_estep_matches_public_moments(self, s5_small):
         params = ModelParams(beta=np.array([2.5, -1.0, 0.5]), phi=0.5)
-        moments, ll = _estep(s5_small, params)
-        assert ll == log_likelihood(s5_small, params)
+        moments = posterior_moments(s5_small, params)
+        cur = _louis_pass(s5_small, params)
+        assert cur.loglik == log_likelihood(s5_small, params)
+        order = np.array(s5_small.canonical.cluster_order)
+        np.testing.assert_allclose(cur.delta, moments.delta[order], rtol=1e-12)
+        np.testing.assert_allclose(cur.gamma, moments.gamma[order], rtol=1e-12)
         for k, c in enumerate(s5_small.clusters):
             mu = np.exp(c.X @ params.beta)
             assert moments.delta[k] == pytest.approx(
@@ -231,8 +240,11 @@ class TestDirectMl:
         def loglik(zz):
             return log_likelihood(data, ModelParams(beta=zz[:p], phi=math.exp(zz[p])))
 
-        nll, grad = _direct_objective(data, z)
-        assert nll == -loglik(z)
+        phi = math.exp(z[p])
+        cur = _louis_pass(data, ModelParams(beta=z[:p], phi=phi))
+        assert cur.loglik == loglik(z)
+        # the exact score in (beta, phi), mapped to (beta, log phi) by the chain rule
+        score = np.append(cur.score[:p], phi * cur.score[p])
         fd = np.empty_like(z)
         for i in range(z.size):
             h = 1e-5 * (1.0 + abs(z[i]))
@@ -240,11 +252,7 @@ class TestDirectMl:
             zp[i] += h
             zm[i] -= h
             fd[i] = (loglik(zp) - loglik(zm)) / (2 * h)
-        np.testing.assert_allclose(-grad, fd, rtol=1e-6)
-        # the five-shift pass of the EM finish gives the same score in (beta, phi)
-        phi = math.exp(z[p])
-        score = _louis_pass(data, ModelParams(beta=z[:p], phi=phi)).score
-        np.testing.assert_allclose(np.append(score[:p], phi * score[p]), -grad, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(score, fd, rtol=1e-6)
 
     def test_cross_method_agreement(self):
         # sized so the optimum is interior and well separated; boundary fits
@@ -261,6 +269,13 @@ class TestDirectMl:
                 em.params.as_array(), direct.params.as_array(), atol=1e-4
             )
         assert both >= 4
+
+    def test_stops_uncertified_when_no_step_ascends(self, s5_small, monkeypatch):
+        monkeypatch.setattr(estimation, "_try_step", lambda *args, **kwargs: None)
+        fit = direct_ml_fit(s5_small)
+        assert not fit.converged and fit.iterations == 1
+        assert fit.loglik_trace.shape == (2,) and fit.loglik_trace[0] == fit.loglik_trace[1]
+        assert "every halving" in fit.message
 
     def test_maximized_loglik_beats_truth(self):
         for seed in (1, 2, 3):
@@ -396,10 +411,13 @@ HEAVY_TRUTH = ModelParams(beta=np.array([5.0, -1.25, 0.75]), phi=0.45)
 
 
 class TestCertification:
-    @pytest.mark.parametrize("truth,seed", [(S5_TRUTH, 1), (S5_TRUTH, 5), (HEAVY_TRUTH, 3), (HEAVY_TRUTH, 4)],
-                             ids=["paper_1", "paper_5", "heavy_3", "heavy_4"])
-    def test_benchmark_datasets_certify_and_match_direct(self, truth, seed):
-        data = simulate_dataset(7, 300, truth, seed=seed)
+    @pytest.mark.parametrize("q,n_k,truth,seed", [
+        (7, 300, S5_TRUTH, 1), (7, 300, S5_TRUTH, 5), (7, 300, HEAVY_TRUTH, 3), (7, 300, HEAVY_TRUTH, 4),
+        # no Newton step at the start: both fits take their fallback step
+        (5, 150, S5_TRUTH, 8804),
+    ], ids=["paper_1", "paper_5", "heavy_3", "heavy_4", "criterion4_8804"])
+    def test_benchmark_datasets_certify_and_match_direct(self, q, n_k, truth, seed):
+        data = simulate_dataset(q, n_k, truth, seed=seed)
         fit = em_fit(data)
         assert fit.converged and not fit.phi_at_floor
         assert fit.iterations <= 10
@@ -416,11 +434,12 @@ class TestCertification:
         np.testing.assert_allclose(z(fit), z(direct), rtol=0, atol=1e-6)
         assert fit.loglik >= direct.loglik - 1e-9
 
+    @pytest.mark.parametrize("fit_fn", [em_fit, direct_ml_fit], ids=["em", "direct"])
     @pytest.mark.parametrize("make", [_intercept_only_floor_dataset, lambda: simulate_dataset(1, 50, S5_TRUTH, seed=2)],
                              ids=["intercept_only", "q1_seed2"])
-    def test_floor_fits_carry_the_kkt_certificate(self, make):
+    def test_floor_fits_carry_the_kkt_certificate(self, make, fit_fn):
         data = make()
-        fit = em_fit(data)
+        fit = fit_fn(data)
         assert fit.converged and fit.phi_at_floor
         assert fit.params.phi == PHI_FLOOR
         assert "effectively Poisson" in fit.message
@@ -431,7 +450,7 @@ class TestCertification:
         assert np.all(np.linalg.eigvalsh(hb) < 0.0)
         assert float(cur.score[:p] @ np.linalg.solve(-hb, cur.score[:p])) <= EmConfig().epsilon
         # a refit started at the certified floor fit certifies at once
-        refit = em_fit(data, config=EmConfig(init=fit.params))
+        refit = fit_fn(data, config=EmConfig(init=fit.params))
         assert refit.converged and refit.iterations == 1
         assert refit.params.phi == PHI_FLOOR
 

@@ -249,6 +249,18 @@ class TestCliWorkflow:
         assert code == 3
         assert list(out_dir.iterdir()) == []
 
+    def test_direct_fit_takes_the_same_controls(self, sim_csv, tmp_path):
+        _, path = sim_csv
+        out = tmp_path / "direct.json"
+        code = self.run_cli(
+            "fit", "--data", path, "--response", "y", "--cluster", "cluster", "--covariates", "x1,x2",
+            "--boot", 0, "--method", "direct", "--max-iter", 1, "--epsilon", 1e-6, "--out", out,
+        )
+        assert code == 2
+        convergence = json.loads(out.read_text())["convergence"]
+        assert convergence["converged"] is False
+        assert convergence["method"] == "direct" and convergence["epsilon"] == 1e-6
+
     def test_exit_code_usage(self, sim_csv):
         assert self.run_cli("fit", "--data", "x.csv") == 3
         _, path = sim_csv

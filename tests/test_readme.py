@@ -1,11 +1,18 @@
-"""The README's documented examples run as written."""
+"""The README's documented examples and the demos run as written."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+DEMOS = ROOT / "demos"
+SRC = ROOT / "src"
 
 
 def _python_block(section: str) -> str:
@@ -22,3 +29,10 @@ def test_quick_start_runs_as_written(capsys):
     assert se.shape == (4,) and np.all(np.isfinite(se)) and np.all(se > 0)
     assert namespace["fit"].B == 500
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")), ids=lambda path: path.name)
+def test_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
