@@ -41,10 +41,10 @@ print("\n=== one-step generalized Cook's distance ===")
 delta = posterior_moments(data, fit.params).delta
 infl = gcd_one_step(data, fit, delta)
 order = np.argsort(-infl.gcd1)
-labels = [data.clusters[k].id for k in data.cluster_index]
+labels = [data.ids[k] for k in data.cluster_index]
 print("top five observations by influence:")
 print(f"{'cluster':>8} {'row':>4} {'y':>3} {'gcd1':>9}")
-within = np.concatenate([np.arange(1, c.n + 1) for c in data.clusters])
+within = np.arange(1, data.n + 1) - data.offsets[data.cluster_index]
 for i in order[:5]:
     print(f"{labels[i]:>8} {within[i]:4d} {data.y_stacked[i]:3d} {infl.gcd1[i]:9.4f}")
 print("(no numeric cutoff is imposed; ranked values are left to the analyst)")

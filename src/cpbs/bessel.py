@@ -26,6 +26,11 @@ The exponentially scaled variant ``log(K_lam(x) * e^x)`` is also exposed: the
 likelihood pairs ``K_lam(omega)`` with a prefactor ``e^(1/phi^2)`` whose
 difference ``1/phi^2 - omega`` is tiny relative to either term, and the scaled
 form lets callers perform that cancellation analytically.
+
+These are the scalar API for one order and one argument at a time.  The
+likelihood does not go through them: ``cpbs.model`` evaluates all clusters
+at once from the finite series, and the tests use the table here as an
+independent oracle for that kernel.
 """
 
 from __future__ import annotations

@@ -97,7 +97,8 @@ def cmd_fit(args) -> int:
 
 
 def _within_cluster_index(data: ClusteredDataset) -> np.ndarray:
-    return np.concatenate([np.arange(1, c.n + 1) for c in data.clusters])
+    """Per stacked row, its 1-based position within its cluster."""
+    return np.arange(1, data.n + 1) - data.offsets[data.cluster_index]
 
 
 def cmd_diagnose(args) -> int:
@@ -110,7 +111,8 @@ def cmd_diagnose(args) -> int:
     params = report.params()
 
     res = pearson_residuals(data, params)
-    labels = [str(data.clusters[k].id) for k in data.cluster_index]
+    ids = [str(i) for i in data.ids]
+    labels = [ids[k] for k in data.cluster_index.tolist()]
     idx = _within_cluster_index(data)
     y = data.y_stacked
     fit_like = FitResult(

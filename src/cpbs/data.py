@@ -2,14 +2,18 @@
 
 A dataset is a collection of clusters; within a cluster every observation
 shares one latent multiplicative effect, so estimation only ever touches the
-data through per-cluster aggregates.  To make fits reproducible bit-for-bit
-under reordering of observations or clusters, estimation code consumes the
-``canonical`` view, which fixes one deterministic arrangement of the rows
-(clusters sorted by id, rows lexicographically within cluster).
+data through per-cluster aggregates.  It is stored as columns: the stacked
+counts and covariate rows, the cluster ids, and the row offsets at which
+each cluster starts, so per-cluster sums are segment reductions
+(``np.add.reduceat``) and no evaluation loops over clusters in Python.
+``Cluster`` objects are views onto those columns, built on request.  To make
+fits reproducible bit-for-bit under reordering of observations or clusters,
+estimation code consumes the ``canonical`` view, which fixes one
+deterministic arrangement of the rows (clusters sorted by id, rows
+lexicographically within cluster), made by one sort over all rows.
 
-Containers are frozen dataclasses and treated as immutable after
-construction; all evaluation code is pure, so instances are safe to share
-across threads.
+Containers are treated as immutable after construction; all evaluation code
+is pure, so instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -56,6 +60,15 @@ class Cluster:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)
 
+    @classmethod
+    def _view(cls, id, y: np.ndarray, X: np.ndarray) -> "Cluster":
+        """A cluster over slices of a dataset's validated columns, not checked again."""
+        view = object.__new__(cls)
+        object.__setattr__(view, "id", id)
+        object.__setattr__(view, "y", y)
+        object.__setattr__(view, "X", X)
+        return view
+
     @property
     def n(self) -> int:
         return self.y.shape[0]
@@ -67,7 +80,8 @@ class _CanonicalView:
 
     ``perm`` maps canonical row positions to stacked-original positions, so
     ``stacked_array[perm]`` produces the canonical arrays.  ``starts`` and
-    ``sizes`` delimit clusters in canonical cluster order (sorted by id).
+    ``sizes`` delimit clusters in canonical cluster order (sorted by id), and
+    ``cluster_order[i]`` is the given index of the i-th canonical cluster.
     """
 
     y: np.ndarray
@@ -75,50 +89,87 @@ class _CanonicalView:
     starts: np.ndarray
     sizes: np.ndarray
     perm: np.ndarray
-    cluster_order: tuple[int, ...]
+    cluster_order: np.ndarray
 
 
-@dataclass(frozen=True)
 class ClusteredDataset:
-    clusters: tuple[Cluster, ...]
+    """Clustered counts as columns: stacked ``y`` and ``X``, cluster ids and offsets.
 
-    def __post_init__(self):
-        clusters = tuple(self.clusters)
+    Rows of cluster k are ``offsets[k]:offsets[k + 1]`` of the stacked arrays,
+    in given order.  ``ClusteredDataset(clusters)`` stacks ``Cluster``
+    objects; :meth:`from_columns` takes the columns directly.  ``clusters``
+    is a tuple of views onto the columns, built on first use.
+    """
+
+    def __init__(self, clusters):
+        clusters = tuple(clusters)
         if len(clusters) < 1:
             raise ValueError("dataset must contain at least one cluster")
         p = clusters[0].X.shape[1]
         if any(c.X.shape[1] != p for c in clusters):
             raise ValueError("all clusters must share the same covariate dimension")
-        ids = [c.id for c in clusters]
+        self._set_columns(
+            [c.id for c in clusters],
+            np.concatenate([c.y for c in clusters]),
+            np.vstack([c.X for c in clusters]),
+            np.concatenate([[0], np.cumsum([c.n for c in clusters])]),
+        )
+
+    @classmethod
+    def from_columns(cls, ids, y, X, offsets) -> "ClusteredDataset":
+        """A dataset from the cluster ids, stacked counts ``y`` (n), covariates
+        ``X`` (n x p) and the q + 1 row offsets at which the clusters start."""
+        dataset = object.__new__(cls)
+        dataset._set_columns(ids, y, X, offsets)
+        return dataset
+
+    def _set_columns(self, ids, y, X, offsets):
+        """Check the columns as ``Cluster`` checks each cluster, then store them."""
+        ids = tuple(ids)
+        y = np.asarray(y, dtype=np.int64)
+        X = np.asarray(X, dtype=np.float64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if len(ids) < 1:
+            raise ValueError("dataset must contain at least one cluster")
+        if X.ndim != 2 or y.shape != X.shape[:1]:
+            raise ValueError(f"y of shape {y.shape} does not match X of shape {X.shape}")
+        if offsets.shape != (len(ids) + 1,) or offsets[0] != 0 or offsets[-1] != y.shape[0]:
+            raise ValueError(f"offsets must run from 0 to {y.shape[0]} in {len(ids) + 1} entries")
         if len(set(ids)) != len(ids):
             raise ValueError("cluster ids must be unique")
-        object.__setattr__(self, "clusters", clusters)
+        empty = np.diff(offsets) < 1
+        if np.any(empty):
+            raise ValueError(f"cluster {ids[int(np.argmax(empty))]!r}: must contain at least one observation")
+        for bad_row, what in ((y < 0, "counts must be non-negative"),
+                              (~np.isfinite(X).all(axis=1), "covariates must be finite")):
+            bad = np.logical_or.reduceat(bad_row, offsets[:-1])
+            if np.any(bad):
+                raise ValueError(f"cluster {ids[int(np.argmax(bad))]!r}: {what}")
+        self.ids = ids
+        self.y_stacked = y  # counts in given cluster/row order
+        self.X_stacked = X  # design matrix in given cluster/row order
+        self.offsets = offsets
 
     @property
     def q(self) -> int:
-        return len(self.clusters)
+        return len(self.ids)
 
     @property
     def p(self) -> int:
-        return self.clusters[0].X.shape[1]
+        return self.X_stacked.shape[1]
 
     @property
     def n(self) -> int:
-        return sum(c.n for c in self.clusters)
+        return self.y_stacked.shape[0]
 
     @property
     def sizes(self) -> np.ndarray:
-        return np.array([c.n for c in self.clusters], dtype=np.int64)
+        return np.diff(self.offsets)
 
     @cached_property
-    def y_stacked(self) -> np.ndarray:
-        """Counts in given cluster/row order."""
-        return np.concatenate([c.y for c in self.clusters])
-
-    @cached_property
-    def X_stacked(self) -> np.ndarray:
-        """Design matrix in given cluster/row order."""
-        return np.vstack([c.X for c in self.clusters])
+    def clusters(self) -> tuple[Cluster, ...]:
+        y, X, bounds = self.y_stacked, self.X_stacked, self.offsets.tolist()
+        return tuple(Cluster._view(i, y[a:b], X[a:b]) for i, a, b in zip(self.ids, bounds, bounds[1:]))
 
     @cached_property
     def cluster_index(self) -> np.ndarray:
@@ -127,29 +178,23 @@ class ClusteredDataset:
 
     @cached_property
     def canonical(self) -> _CanonicalView:
-        order = sorted(range(self.q), key=lambda k: str(self.clusters[k].id))
-        offsets = np.concatenate([[0], np.cumsum(self.sizes)])
-        perm_parts = []
-        sizes = []
-        for k in order:
-            c = self.clusters[k]
-            # lexsort keys: last key is primary; sort rows by first column,
-            # then second, ..., then y.  Ties are bitwise-identical rows, so
-            # their relative order cannot affect any downstream arithmetic.
-            keys = tuple([c.y.astype(np.float64)] + [c.X[:, j] for j in range(c.X.shape[1] - 1, -1, -1)])
-            local = np.lexsort(keys)
-            perm_parts.append(offsets[k] + local)
-            sizes.append(c.n)
-        perm = np.concatenate(perm_parts)
-        sizes = np.array(sizes, dtype=np.int64)
-        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        order = np.argsort(np.array(list(map(str, self.ids))), kind="stable")
+        rank = np.empty(self.q, dtype=np.int64)
+        rank[order] = np.arange(self.q)
+        # one lexsort over all rows, the last key primary: clusters by id, then
+        # rows by first column, second, ..., then y.  Ties are bitwise-identical
+        # rows, so their relative order cannot affect any downstream arithmetic.
+        X = self.X_stacked
+        keys = (self.y_stacked, *(X[:, j] for j in range(X.shape[1] - 1, -1, -1)), rank[self.cluster_index])
+        perm = np.lexsort(keys)
+        sizes = self.sizes[order]
         return _CanonicalView(
             y=self.y_stacked[perm],
-            X=self.X_stacked[perm],
-            starts=starts,
+            X=X[perm],
+            starts=np.cumsum(sizes) - sizes,
             sizes=sizes,
             perm=perm,
-            cluster_order=tuple(order),
+            cluster_order=order,
         )
 
     def assert_full_rank(self):
@@ -168,12 +213,7 @@ class ClusteredDataset:
         y_new = np.asarray(y_new)
         if y_new.shape != (self.n,):
             raise ValueError(f"expected {self.n} responses, got shape {y_new.shape}")
-        out = []
-        pos = 0
-        for c in self.clusters:
-            out.append(Cluster(id=c.id, y=y_new[pos : pos + c.n], X=c.X))
-            pos += c.n
-        return ClusteredDataset(tuple(out))
+        return ClusteredDataset.from_columns(self.ids, y_new, self.X_stacked, self.offsets)
 
     def content_hash(self) -> str:
         """Order-sensitive digest of ids, counts and covariates.
@@ -181,12 +221,17 @@ class ClusteredDataset:
         Recorded in fit reports so diagnostics can refuse to run against a
         dataset other than the one that produced the fit.
         """
+        # byte views of the stacked columns: the per-cluster slices hash the
+        # same bytes as each cluster's own arrays
+        y, X = memoryview(self.y_stacked.tobytes()), memoryview(np.ascontiguousarray(self.X_stacked).tobytes())
+        y_row, x_row = self.y_stacked.itemsize, self.X_stacked.itemsize * self.p
+        bounds = self.offsets.tolist()
         h = hashlib.sha256()
-        for c in self.clusters:
-            h.update(repr(c.id).encode())
-            h.update(c.y.tobytes())
-            h.update(np.ascontiguousarray(c.X).tobytes())
-            h.update(repr(c.X.shape).encode())
+        for i, a, b in zip(self.ids, bounds, bounds[1:]):
+            h.update(repr(i).encode())
+            h.update(y[a * y_row : b * y_row])
+            h.update(X[a * x_row : b * x_row])
+            h.update(repr((b - a, self.p)).encode())
         return h.hexdigest()
 
 

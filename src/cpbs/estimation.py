@@ -14,10 +14,11 @@ is closed form,
     phi = sqrt( mean_k(delta_k + gamma_k) - 2 ),
 
 non-negative by Cauchy-Schwarz on the posterior.  Direct maximization of the
-observed log-likelihood is provided as a cross-check.  Both run on one Bessel
-pass per cluster, which yields the log-likelihood and the posterior moments
-together; by the Fisher identity grad l(theta) = grad Q(theta | theta), those
-moments give the exact score, so no derivative is taken numerically.
+observed log-likelihood is provided as a cross-check.  Both run on one
+vectorized Bessel pass over all clusters, which yields the log-likelihood and
+the posterior moments together; by the Fisher identity
+grad l(theta) = grad Q(theta | theta), those moments give the exact score, so
+no derivative is taken numerically.
 
 Both fits take guarded Newton steps on the exact observed information: the
 same pass, taken over order shifts -2..2, also gives E(T^2 | y) and
@@ -44,7 +45,7 @@ import numpy as np
 from . import _util
 from .data import PHI_FLOOR, ClusteredDataset, ModelParams
 from .exceptions import BootstrapFailureError, CpbsError, MStepConvergenceError, RankDeficiencyError
-from .model import _canonical_cluster_stats, _cluster_pass, _log_bracket
+from .model import _canonical_cluster_stats, _cluster_pass, _log_brackets
 from .simulate import simulate_responses
 
 __all__ = [
@@ -65,7 +66,9 @@ __all__ = [
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _MAX_HALVINGS = 10  # a Newton step that still lowers the log-likelihood at 1/1024 gives way to the fallback
-_MOMENT_ROUNDING = 2e-15  # absolute rounding of the posterior moments E(T^s | y)
+# a bound on the absolute rounding of the posterior moments E(T^s | y) near
+# phi -> 0; against 60-digit sums the kernel's worst is 2.2e-16 there
+_MOMENT_ROUNDING = 2e-15
 _EIGEN_FLOOR = 1e-8  # the modified Newton step bounds each curvature below by this share of the largest
 
 
@@ -125,14 +128,17 @@ class FitResult:
 
 
 def conditional_moment(y, mu, phi: float, s: int) -> float:
-    """E(T_k^s | cluster counts) for one cluster.
+    """E(T_k^s | cluster counts) for one cluster, s = -2..2.
 
     The moment is a ratio of two two-term log-sum-exp expressions whose
     orders are shifted by s; the common prefactor cancels analytically
     before anything is evaluated.
     """
-    if int(s) == 0:
+    s = int(s)
+    if s == 0:
         return 1.0
+    if abs(s) > 2:
+        raise ValueError(f"moment order must be in -2..2 (got {s})")
     y = np.atleast_1d(np.asarray(y))
     mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
     if y.shape != mu.shape:
@@ -142,15 +148,13 @@ def conditional_moment(y, mu, phi: float, s: int) -> float:
     phi = float(phi)
     if phi <= 0.0:
         raise ValueError(f"phi must be positive (got {phi!r})")
-    y_tot = int(np.asarray(y, dtype=np.int64).sum())
-    mu_tot = float(mu.sum())
-    brackets = _log_bracket(y_tot, mu_tot, phi, shifts=(int(s), 0))
-    return math.exp(brackets[int(s)] - brackets[0])
+    logm = _log_brackets(np.asarray(y, dtype=np.int64).sum(keepdims=True), mu.sum(keepdims=True), phi)[1]
+    return math.exp(logm[0, s + 2])
 
 
 def _given_order(data: ClusteredDataset, *canonical):
     """Arrays in canonical cluster order, rearranged to ``data.clusters`` order."""
-    order = np.array(data.canonical.cluster_order)
+    order = data.canonical.cluster_order
     out = []
     for a in canonical:
         b = np.empty_like(a)
@@ -162,12 +166,7 @@ def _given_order(data: ClusteredDataset, *canonical):
 def posterior_moments(data: ClusteredDataset, params: ModelParams) -> ConditionalMoments:
     """delta_k and gamma_k for every cluster at the given parameters."""
     logm = _cluster_pass(data, params)[1]
-    return ConditionalMoments(*_given_order(data, np.exp(logm[1]), np.exp(logm[-1])))
-
-
-def _moments_canonical(data: ClusteredDataset, moments: ConditionalMoments):
-    order = np.array(data.canonical.cluster_order)
-    return moments.delta[order], moments.gamma[order]
+    return ConditionalMoments(*_given_order(data, np.exp(logm[:, 3]), np.exp(logm[:, 1])))
 
 
 def q_function(data: ClusteredDataset, params: ModelParams, moments: ConditionalMoments) -> float:
@@ -178,18 +177,12 @@ def q_function(data: ClusteredDataset, params: ModelParams, moments: Conditional
     progress and observed log-likelihood values live on comparable scales.
     """
     y_tot, mu_tot, ylogmu, lgam = _canonical_cluster_stats(data, params)
-    delta_c, gamma_c = _moments_canonical(data, moments)
+    order = data.canonical.cluster_order
     phi = params.phi
     inv2p2 = 0.5 / (phi * phi)
-    q = y_tot.shape[0]
-    parts = [
-        1.0 / (phi * phi) - math.log(phi) - _LOG_SQRT_2PI
-        + float(ylogmu[k]) - float(lgam[k])
-        - (float(mu_tot[k]) + inv2p2) * float(delta_c[k])
-        - inv2p2 * float(gamma_c[k])
-        for k in range(q)
-    ]
-    return math.fsum(parts)
+    const = 1.0 / (phi * phi) - math.log(phi) - _LOG_SQRT_2PI
+    parts = const + ylogmu - lgam - (mu_tot + inv2p2) * moments.delta[order] - inv2p2 * moments.gamma[order]
+    return math.fsum(parts.tolist())
 
 
 def q_score_beta(data: ClusteredDataset, params: ModelParams, delta: np.ndarray) -> np.ndarray:
@@ -198,8 +191,7 @@ def q_score_beta(data: ClusteredDataset, params: ModelParams, delta: np.ndarray)
         dQ/dbeta_l = sum_kj (y_kj - delta_k mu_kj) x_kjl.
     """
     canon = data.canonical
-    order = np.array(canon.cluster_order)
-    delta_c = np.asarray(delta, dtype=np.float64)[order]
+    delta_c = np.asarray(delta, dtype=np.float64)[canon.cluster_order]
     mu = np.exp(canon.X @ params.beta)
     w = np.repeat(delta_c, canon.sizes) * mu
     return canon.X.T @ (canon.y - w)
@@ -231,8 +223,7 @@ def m_step_beta(
     if delta.shape != (data.q,) or np.any(delta <= 0.0):
         raise ValueError("delta must hold one positive value per cluster")
     canon = data.canonical
-    order = np.array(canon.cluster_order)
-    offset = np.repeat(np.log(delta[order]), canon.sizes)
+    offset = np.repeat(np.log(delta[canon.cluster_order]), canon.sizes)
     X, y = canon.X, canon.y
     beta = np.asarray(beta_init, dtype=np.float64).copy()
     if beta.shape != (data.p,):
@@ -336,7 +327,7 @@ class _Pass:
 
 
 def _louis_pass(data: ClusteredDataset, params: ModelParams) -> _Pass:
-    """One five-shift Bessel pass: the log-likelihood, exact score and Hessian.
+    """One Bessel pass at shifts -2..2: the log-likelihood, exact score and Hessian.
 
     With s_k = sum_j mu_kj x_kj and A = T + 1/T - 2, Louis' identity gives the
     observed Hessian as the posterior mean of the complete-data Hessian plus
@@ -346,7 +337,7 @@ def _louis_pass(data: ClusteredDataset, params: ModelParams) -> _Pass:
         H_bp = -sum_k s_k Cov(T, A) / phi^3
         H_pp = sum_k [1/phi^2 - 3 E(A)/phi^4 + Var(A)/phi^6]
 
-    E(T^2 | y) and E(T^-2 | y) come from order shifts +-2 of the same table.
+    E(T^2 | y) and E(T^-2 | y) come from order shifts +-2 of the same pass.
     The variances are formed from log-moment differences through expm1, so
     they keep their relative accuracy when the posterior is tight.
 
@@ -361,22 +352,23 @@ def _louis_pass(data: ClusteredDataset, params: ModelParams) -> _Pass:
     (expand T = 1 + phi Z + phi^2 Z^2 / 2 + phi^3 Z^3 / 8 + O(phi^5),
     Z ~ N(0, 1), inside log E[T^y_k exp(-M_k (T - 1))]).  The moment form
     of the score needs E(A) - phi^2 to O(phi^4), and that of H_pp needs
-    Var(A) to O(phi^6).  With the moments' absolute rounding e (about
+    Var(A) to O(phi^6).  With the moments' absolute rounding e (at most
     _MOMENT_ROUNDING), the moment form's relative error is about
     e / (phi^4 M_k) in the score and e / (phi^6 M_k) in H_pp, against
     (phi^2 M_k)^2 for the expansion.  So each cluster takes the form with
     the smaller error: the expansion for its score term where
     phi^8 M_k^3 <= e, and for its Hessian terms where phi^10 M_k^3 <= e.
     """
-    ll, lm = _cluster_pass(data, params, shifts=(-2, -1, 0, 1, 2))
+    ll, logm = _cluster_pass(data, params)
+    lm_m2, lm_m1, _, lm_1, lm_2 = logm.T
     canon = data.canonical
     X = canon.X
     phi = params.phi
-    delta, gamma = np.exp(lm[1]), np.exp(lm[-1])
-    var_t = delta * delta * np.expm1(lm[2] - 2.0 * lm[1])
-    var_inv = gamma * gamma * np.expm1(lm[-2] - 2.0 * lm[-1])
-    cov_t_inv = -np.expm1(lm[1] + lm[-1])
-    e_a = np.expm1(lm[1]) + np.expm1(lm[-1])
+    delta, gamma = np.exp(lm_1), np.exp(lm_m1)
+    var_t = delta * delta * np.expm1(lm_2 - 2.0 * lm_1)
+    var_inv = gamma * gamma * np.expm1(lm_m2 - 2.0 * lm_m1)
+    cov_t_inv = -np.expm1(lm_1 + lm_m1)
+    e_a = np.expm1(lm_1) + np.expm1(lm_m1)
     var_a = var_t + var_inv + 2.0 * cov_t_inv
     cov_ta = var_t + cov_t_inv
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Cluster, ClusteredDataset, ModelParams
+from .data import ClusteredDataset, ModelParams
 from .estimation import FitResult
 from .exceptions import (
     MissingColumnError,
@@ -105,57 +105,72 @@ def _parse_real(raw: str, row_num: int, col: str) -> float:
     return value
 
 
+def _raise_first_row_error(rows, cols: list[int], spec: ModelSpec) -> None:
+    """Parse the data rows cell by cell and raise the first error, in file order."""
+    for row_num, row in enumerate(rows, start=2):
+        label, raw_y, *raw_x = (row[i] for i in cols)
+        if label.strip() == "":
+            raise MissingValueError(f"row {row_num}: empty cluster label")
+        _parse_count(raw_y, row_num, spec.response)
+        for raw, col in zip(raw_x, spec.covariates):
+            _parse_real(raw, row_num, col)
+
+
 def load_csv(path, spec: ModelSpec) -> ClusteredDataset:
     """Load a clustered dataset from CSV per the column mapping.
 
     Clusters appear in order of first appearance of their label; an
     intercept column of ones is prepended when ``spec.intercept`` is on.
     The stacked design is checked for full column rank.
+
+    The file is read into columns and converted a column at a time; if any
+    cell fails, the rows are parsed one by one to report the first bad row.
     """
-    groups: dict[str, list] = {}
-    order: list[str] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         needed = [spec.response, spec.cluster, *spec.covariates]
         missing = [c for c in needed if c not in header]
         if missing:
             raise MissingColumnError(f"missing column(s) in {path}: {', '.join(missing)}")
-        for row_num, row in enumerate(reader, start=2):
-            label = (row[spec.cluster] or "").strip()
-            if label == "":
-                raise MissingValueError(f"row {row_num}: empty cluster label")
-            y = _parse_count(row[spec.response], row_num, spec.response)
-            x = [_parse_real(row[c], row_num, c) for c in spec.covariates]
-            if spec.intercept:
-                x = [1.0] + x
-            if label not in groups:
-                groups[label] = []
-                order.append(label)
-            groups[label].append((y, x))
-    if not order:
+        # blank lines are skipped and not counted; the header is row 1
+        rows = [row for row in reader if row]
+    if not rows:
         raise MissingValueError(f"no data rows in {path}")
-    clusters = []
-    for label in order:
-        rows = groups[label]
-        y = np.array([r[0] for r in rows], dtype=np.int64)
-        X = np.array([r[1] for r in rows], dtype=np.float64)
-        clusters.append(Cluster(id=label, y=y, X=X))
-    data = ClusteredDataset(tuple(clusters))
+    index = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+    cols = [index[spec.cluster], index[spec.response], *(index[c] for c in spec.covariates)]
+    width = max(cols) + 1  # a short row's missing cells read as empty
+    padded = [row if len(row) >= width else row + [""] * (width - len(row)) for row in rows]
+    labels, raw_y, *raw_x = ([row[i] for row in padded] for i in cols)
+    try:
+        labels = [label.strip() for label in labels]
+        y = np.array([int(v) for v in raw_y], dtype=np.int64)
+        X = np.array([[float(v) for v in col] for col in raw_x], dtype=np.float64).reshape(len(raw_x), len(rows)).T
+        ok = "" not in labels and not np.any(y < 0) and np.all(np.isfinite(X))
+    except ValueError:
+        ok = False
+    if not ok:
+        _raise_first_row_error(padded, cols, spec)
+    if spec.intercept:
+        X = np.column_stack([np.ones(len(rows)), X])
+    codes: dict[str, int] = {}
+    cluster = np.array([codes.setdefault(label, len(codes)) for label in labels], dtype=np.int64)
+    perm = np.argsort(cluster, kind="stable")
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(cluster))])
+    data = ClusteredDataset.from_columns(list(codes), y[perm], X[perm], offsets)
     data.assert_full_rank()
     return data
 
 
 def write_dataset_csv(path, data: ClusteredDataset, spec: ModelSpec):
     """Write a dataset in the same CSV convention ``load_csv`` reads."""
-    cols = [c for c in spec.covariates]
+    Xcov = data.X_stacked[:, 1:] if spec.intercept else data.X_stacked
+    ids = [data.ids[k] for k in data.cluster_index.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([spec.cluster, spec.response, *cols])
-        for c in data.clusters:
-            Xcov = c.X[:, 1:] if spec.intercept else c.X
-            for i in range(c.n):
-                writer.writerow([c.id, int(c.y[i])] + [repr(float(v)) for v in Xcov[i]])
+        writer.writerow([spec.cluster, spec.response, *spec.covariates])
+        for label, y, x in zip(ids, data.y_stacked.tolist(), Xcov.tolist()):
+            writer.writerow([label, y] + [repr(v) for v in x])
 
 
 def _two_sided_p(z: float) -> float:
@@ -218,7 +233,7 @@ class FitReport:
             n=data.n,
             q=data.q,
             cluster_sizes=[int(s) for s in data.sizes],
-            cluster_ids=[str(c.id) for c in data.clusters],
+            cluster_ids=[str(i) for i in data.ids],
             method=fit.method,
             iterations=int(fit.iterations),
             converged=bool(fit.converged),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Cluster, ClusteredDataset, ModelParams
+from .data import ClusteredDataset, ModelParams
 from .exceptions import ConfigSchemaError
 
 __all__ = [
@@ -49,12 +49,21 @@ def sample_cluster(mu, phi: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def simulate_responses(data: ClusteredDataset, params: ModelParams, rng: np.random.Generator) -> ClusteredDataset:
-    """New dataset with the same clusters/covariates and model-simulated counts."""
-    out = []
-    for c in data.clusters:
-        mu = np.exp(c.X @ params.beta)
-        out.append(Cluster(id=c.id, y=sample_cluster(mu, params.phi, rng), X=c.X))
-    return ClusteredDataset(tuple(out))
+    """New dataset with the same clusters/covariates and model-simulated counts.
+
+    The means come from one product over the stacked design; the draws are
+    made cluster by cluster, as ``sample_cluster`` makes them (one normal for
+    T, then the cluster's Poisson counts), so a seeded stream gives the same
+    dataset whatever the number of clusters drawn before.
+    """
+    mu = np.exp(data.X_stacked @ params.beta)
+    if np.any(mu <= 0.0):
+        raise ValueError("means must be positive")
+    y = np.empty(data.n, dtype=np.int64)
+    bounds = data.offsets.tolist()
+    for a, b in zip(bounds, bounds[1:]):
+        y[a:b] = rng.poisson(mu[a:b] * sample_bs(params.phi, rng))
+    return data.with_responses(y)
 
 
 class CovariateColumn:
@@ -126,11 +135,8 @@ def generate_design(
         cols = [np.ones(n)] + cols
     X = np.column_stack(cols)
     width = max(2, len(str(q)))
-    clusters = []
-    for k in range(q):
-        sl = slice(k * n_k, (k + 1) * n_k)
-        clusters.append(Cluster(id=f"c{k + 1:0{width}d}", y=np.zeros(n_k, dtype=np.int64), X=X[sl]))
-    return ClusteredDataset(tuple(clusters))
+    ids = [f"c{k + 1:0{width}d}" for k in range(q)]
+    return ClusteredDataset.from_columns(ids, np.zeros(n, dtype=np.int64), X, np.arange(q + 1) * n_k)
 
 
 def simulate_dataset(

@@ -34,6 +34,10 @@ GAMMA_Y0 = 1.295163479556485
 
 
 class TestConditionalMoment:
+    def test_orders_beyond_two_are_refused(self):
+        with pytest.raises(ValueError):
+            conditional_moment([3, 1], [0.5, 0.9], 0.7, 3)
+
     def test_s_zero_exactly_one(self):
         assert conditional_moment([3, 1], [0.5, 0.9], 0.7, 0) == 1.0
 
@@ -189,12 +193,28 @@ class TestEmFit:
         assert np.array_equal(fit.params.as_array(), fit_clusters.params.as_array())
         assert fit.loglik == fit_rows.loglik == fit_clusters.loglik
 
+    def test_permutation_invariance_bit_for_bit_many_clusters(self):
+        data = simulate_dataset(1000, 5, S5_TRUTH, seed=1)
+        rng = np.random.default_rng(2)
+        shuffled = ClusteredDataset(tuple(
+            Cluster(id=c.id, y=c.y[perm], X=c.X[perm])
+            for c, perm in ((data.clusters[k], rng.permutation(data.clusters[k].n)) for k in rng.permutation(data.q))
+        ))
+        params = ModelParams(beta=np.array([3.1, -1.3, 0.7]), phi=0.4)
+        a, b = _louis_pass(data, params), _louis_pass(shuffled, params)
+        assert a.loglik == b.loglik
+        assert np.array_equal(a.score, b.score) and np.array_equal(a.hessian, b.hessian)
+        assert np.array_equal(a.delta, b.delta) and np.array_equal(a.gamma, b.gamma)
+        fit, fit_shuffled = em_fit(data), em_fit(shuffled)
+        assert np.array_equal(fit.params.as_array(), fit_shuffled.params.as_array())
+        assert fit.loglik == fit_shuffled.loglik
+
     def test_estep_matches_public_moments(self, s5_small):
         params = ModelParams(beta=np.array([2.5, -1.0, 0.5]), phi=0.5)
         moments = posterior_moments(s5_small, params)
         cur = _louis_pass(s5_small, params)
         assert cur.loglik == log_likelihood(s5_small, params)
-        order = np.array(s5_small.canonical.cluster_order)
+        order = s5_small.canonical.cluster_order
         np.testing.assert_allclose(cur.delta, moments.delta[order], rtol=1e-12)
         np.testing.assert_allclose(cur.gamma, moments.gamma[order], rtol=1e-12)
         for k, c in enumerate(s5_small.clusters):

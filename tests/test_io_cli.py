@@ -100,6 +100,38 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.X_stacked, data.X_stacked)
 
 
+    def test_interleaved_rows_load_to_the_same_dataset(self, tmp_path):
+        params = ModelParams(beta=np.array([0.2, 0.3]), phi=0.4)
+        from cpbs import simulate_dataset
+        from cpbs.simulate import CovariateColumn
+
+        data = simulate_dataset(6, 9, params, seed=11, covariates=[CovariateColumn("normal", mean=0, sd=1)])
+        spec = ModelSpec(response="y", cluster="cluster", covariates=("x1",))
+        grouped = tmp_path / "grouped.csv"
+        write_dataset_csv(grouped, data, spec)
+        # deal the rows out round-robin: each cluster keeps its row order and
+        # clusters keep their order of first appearance
+        with open(grouped, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        by_cluster = [[r for r in rows if r[0] == cid] for cid in data.ids]
+        dealt = [cl[i] for i in range(max(map(len, by_cluster))) for cl in by_cluster if i < len(cl)]
+        interleaved = tmp_path / "interleaved.csv"
+        write_csv(interleaved, header, dealt)
+        a, b = load_csv(grouped, spec), load_csv(interleaved, spec)
+        assert a.ids == b.ids == data.ids
+        assert np.array_equal(a.offsets, b.offsets)
+        assert np.array_equal(a.y_stacked, b.y_stacked) and np.array_equal(a.X_stacked, b.X_stacked)
+        assert a.content_hash() == b.content_hash() == data.content_hash()
+
+    def test_errors_name_the_first_bad_row(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_csv(p, ["region", "y", "age", "female"], [
+            ["a", 1, 0.5, 0], ["b", 2, "nan", 1], ["a", -1, 0.7, 1], ["", 1, 0.1, 0],
+        ])
+        with pytest.raises(MissingValueError, match=r"^row 3: NaN/inf cell in column 'age'$"):
+            load_csv(p, SPEC)
+
+
 class TestFitReportArithmetic:
     def make_report(self, estimates, ses, names):
         from cpbs.estimation import FitResult

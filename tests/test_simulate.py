@@ -15,7 +15,7 @@ from cpbs import (
     simulate_dataset,
 )
 from cpbs.data import PHI_FLOOR
-from cpbs.simulate import CovariateColumn, default_covariate_spec, generate_design
+from cpbs.simulate import CovariateColumn, default_covariate_spec, generate_design, simulate_responses
 from cpbs.exceptions import ConfigSchemaError
 from oracles import bs_cdf_grid
 
@@ -132,3 +132,24 @@ class TestDesignGeneration:
     def test_round_trip_dict(self):
         col = CovariateColumn("normal", mean=3.7, sd=0.2)
         assert CovariateColumn.from_dict(col.to_dict()).to_dict() == col.to_dict()
+
+
+class TestSimulatedDatasets:
+    def test_content_hash_is_pinned(self):
+        # fit reports record this digest; a change here makes every stored
+        # report fail check_matches against its own data
+        data = simulate_dataset(5, 60, ModelParams(beta=np.array([3.0, -1.25, 0.75]), phi=0.45), seed=1205)
+        assert data.content_hash() == "4187b6e42b20c168a4321cdfc3c17400443dc0977b19a1636cebd226db5e2164"
+
+    @pytest.mark.parametrize("q, n_k, seed", [(7, 300, 1), (1000, 5, 1), (5, 60, 1205), (1, 50, 2)])
+    def test_responses_match_per_cluster_draws(self, q, n_k, seed):
+        truth = ModelParams(beta=np.array([3.0, -1.25, 0.75]), phi=0.45)
+        design = generate_design(q, n_k, np.random.default_rng(seed))
+        got = simulate_responses(design, truth, np.random.default_rng(seed + 1))
+        rng = np.random.default_rng(seed + 1)
+        want = np.concatenate([
+            sample_cluster(np.exp(c.X @ truth.beta), truth.phi, rng) for c in design.clusters
+        ])
+        assert got.y_stacked.dtype == want.dtype
+        assert np.array_equal(got.y_stacked, want)
+        assert got.X_stacked is design.X_stacked and got.ids == design.ids
