@@ -51,10 +51,10 @@ def sample_cluster(mu, phi: float, rng: np.random.Generator) -> np.ndarray:
 def simulate_responses(data: ClusteredDataset, params: ModelParams, rng: np.random.Generator) -> ClusteredDataset:
     """New dataset with the same clusters/covariates and model-simulated counts.
 
-    The means come from one product over the stacked design; the draws are
-    made cluster by cluster, as ``sample_cluster`` makes them (one normal for
-    T, then the cluster's Poisson counts), so a seeded stream gives the same
-    dataset whatever the number of clusters drawn before.
+    The means come from one product over the stacked design.  The draws are
+    made cluster by cluster in the order ``sample_cluster`` makes them (one
+    normal for T, then the cluster's Poisson counts), so a seed gives the
+    counts that drawing each cluster with ``sample_cluster`` gives.
     """
     mu = np.exp(data.X_stacked @ params.beta)
     if np.any(mu <= 0.0):

@@ -214,7 +214,7 @@ class TestEmFit:
         moments = posterior_moments(s5_small, params)
         cur = _louis_pass(s5_small, params)
         assert cur.loglik == log_likelihood(s5_small, params)
-        order = s5_small.canonical.cluster_order
+        order = np.array(s5_small.canonical.cluster_order)
         np.testing.assert_allclose(cur.delta, moments.delta[order], rtol=1e-12)
         np.testing.assert_allclose(cur.gamma, moments.gamma[order], rtol=1e-12)
         for k, c in enumerate(s5_small.clusters):
