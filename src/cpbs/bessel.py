@@ -30,7 +30,8 @@ form lets callers perform that cancellation analytically.
 These are the scalar API for one order and one argument at a time.  The
 likelihood does not go through them: ``cpbs.model`` evaluates all clusters
 at once from the finite series, and the tests use the table here as an
-independent oracle for that kernel.
+independent oracle for that kernel.  ``conditional_moment`` reads the table
+for moment orders beyond the kernel's shifts -2..2.
 """
 
 from __future__ import annotations

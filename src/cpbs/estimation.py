@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _util
+from .bessel import log_bessel_k_half_scaled_table
 from .data import PHI_FLOOR, ClusteredDataset, ModelParams
 from .exceptions import BootstrapFailureError, CpbsError, MStepConvergenceError, RankDeficiencyError
 from .model import _canonical_cluster_stats, _cluster_pass, _log_brackets
@@ -128,17 +129,16 @@ class FitResult:
 
 
 def conditional_moment(y, mu, phi: float, s: int) -> float:
-    """E(T_k^s | cluster counts) for one cluster, s = -2..2.
+    """E(T_k^s | cluster counts) for one cluster and any integer s.
 
     The moment is a ratio of two two-term log-sum-exp expressions whose
     orders are shifted by s; the common prefactor cancels analytically
-    before anything is evaluated.
+    before anything is evaluated.  The shifts -2..2 come from the
+    likelihood kernel; others from the recurrence table up to order y + |s|.
     """
     s = int(s)
     if s == 0:
         return 1.0
-    if abs(s) > 2:
-        raise ValueError(f"moment order must be in -2..2 (got {s})")
     y = np.atleast_1d(np.asarray(y))
     mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
     if y.shape != mu.shape:
@@ -148,8 +148,23 @@ def conditional_moment(y, mu, phi: float, s: int) -> float:
     phi = float(phi)
     if phi <= 0.0:
         raise ValueError(f"phi must be positive (got {phi!r})")
-    logm = _log_brackets(np.asarray(y, dtype=np.int64).sum(keepdims=True), mu.sum(keepdims=True), phi)[1]
-    return math.exp(logm[0, s + 2])
+    y_tot = np.asarray(y, dtype=np.int64).sum(keepdims=True)
+    if abs(s) <= 2:
+        return math.exp(_log_brackets(y_tot, mu.sum(keepdims=True), phi)[1][0, s + 2])
+    return math.exp(_table_log_moment(int(y_tot[0]), float(mu.sum()), phi, s))
+
+
+def _table_log_moment(y_tot: int, mu_tot: float, phi: float, s: int) -> float:
+    """log E(T^s | y) = B(s) - B(0) from one recurrence table; B as in ``_log_brackets``."""
+    phi2 = phi * phi
+    log_c = math.log1p(2.0 * phi2 * mu_tot)
+    # the orders t +- 1/2 are half-integers, so int(|order|) is the table index
+    table = log_bessel_k_half_scaled_table(max(abs(y_tot + s), y_tot), math.sqrt(1.0 + 2.0 * phi2 * mu_tot) / phi2)
+
+    def bracket(t):
+        return np.logaddexp(*(table[int(abs(o))] - 0.5 * o * log_c for o in (t + 0.5, t - 0.5)))
+
+    return float(bracket(y_tot + s) - bracket(y_tot))
 
 
 def _given_order(data: ClusteredDataset, *canonical):

@@ -105,27 +105,14 @@ def _parse_real(raw: str, row_num: int, col: str) -> float:
     return value
 
 
-def _raise_first_row_error(rows, cols: list[int], spec: ModelSpec) -> None:
-    """Parse the data rows cell by cell and raise the first error, in file order."""
-    for row_num, row in enumerate(rows, start=2):
-        label, raw_y, *raw_x = (row[i] for i in cols)
-        if label.strip() == "":
-            raise MissingValueError(f"row {row_num}: empty cluster label")
-        _parse_count(raw_y, row_num, spec.response)
-        for raw, col in zip(raw_x, spec.covariates):
-            _parse_real(raw, row_num, col)
-
-
 def load_csv(path, spec: ModelSpec) -> ClusteredDataset:
     """Load a clustered dataset from CSV per the column mapping.
 
     Clusters appear in order of first appearance of their label; an
     intercept column of ones is prepended when ``spec.intercept`` is on.
     The stacked design is checked for full column rank.
-
-    The file is read into columns and converted a column at a time; if any
-    cell fails, the rows are parsed one by one to report the first bad row.
     """
+    labels, y, x = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -133,31 +120,30 @@ def load_csv(path, spec: ModelSpec) -> ClusteredDataset:
         missing = [c for c in needed if c not in header]
         if missing:
             raise MissingColumnError(f"missing column(s) in {path}: {', '.join(missing)}")
+        index = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+        i_label, i_y = index[spec.cluster], index[spec.response]
+        i_x = [(index[c], c) for c in spec.covariates]
+        width = max(index[c] for c in needed) + 1
         # blank lines are skipped and not counted; the header is row 1
-        rows = [row for row in reader if row]
-    if not rows:
+        for row_num, row in enumerate(filter(None, reader), start=2):
+            if len(row) < width:  # a short row's missing cells read as empty
+                row += [""] * (width - len(row))
+            label = row[i_label].strip()
+            if label == "":
+                raise MissingValueError(f"row {row_num}: empty cluster label")
+            labels.append(label)
+            y.append(_parse_count(row[i_y], row_num, spec.response))
+            x.append([_parse_real(row[i], row_num, c) for i, c in i_x])
+    if not labels:
         raise MissingValueError(f"no data rows in {path}")
-    index = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
-    cols = [index[spec.cluster], index[spec.response], *(index[c] for c in spec.covariates)]
-    width = max(cols) + 1  # a short row's missing cells read as empty
-    padded = [row if len(row) >= width else row + [""] * (width - len(row)) for row in rows]
-    labels, raw_y, *raw_x = ([row[i] for row in padded] for i in cols)
-    try:
-        labels = [label.strip() for label in labels]
-        y = np.array([int(v) for v in raw_y], dtype=np.int64)
-        X = np.array([[float(v) for v in col] for col in raw_x], dtype=np.float64).reshape(len(raw_x), len(rows)).T
-        ok = "" not in labels and not np.any(y < 0) and np.all(np.isfinite(X))
-    except ValueError:
-        ok = False
-    if not ok:
-        _raise_first_row_error(padded, cols, spec)
+    X = np.array(x, dtype=np.float64).reshape(len(labels), len(i_x))
     if spec.intercept:
-        X = np.column_stack([np.ones(len(rows)), X])
+        X = np.column_stack([np.ones(len(labels)), X])
     codes: dict[str, int] = {}
     cluster = np.array([codes.setdefault(label, len(codes)) for label in labels], dtype=np.int64)
     perm = np.argsort(cluster, kind="stable")
     offsets = np.concatenate([[0], np.cumsum(np.bincount(cluster))])
-    data = ClusteredDataset.from_columns(list(codes), y[perm], X[perm], offsets)
+    data = ClusteredDataset.from_columns(list(codes), np.array(y, dtype=np.int64)[perm], X[perm], offsets)
     data.assert_full_rank()
     return data
 

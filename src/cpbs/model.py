@@ -29,7 +29,9 @@ brackets of every cluster at the shifts s = -2..2 at once: the finite
 half-integer Bessel series at each cluster's anchor order, its terms laid
 out in one flat array with one segment per cluster, then four forward
 recurrence steps across clusters.  The work is numpy arithmetic on the sum
-of the cluster totals, whatever the number of clusters.
+of the cluster totals, whatever the number of clusters; clusters go through
+in blocks of a fixed number of terms, so memory grows with the largest
+cluster total, not with their sum.
 """
 
 from __future__ import annotations
@@ -117,7 +119,23 @@ _C_POWERS = -0.5 * (_ORDER_OFFSETS - 2.5)
 _ROWS = np.abs(2 * _ORDER_OFFSETS + 2 * np.arange(4) - 5) // 2
 
 
+# clusters are evaluated in blocks of about this many series terms, so the
+# flat arrays stay a few MB however large the total count of a dataset is;
+# one cluster's terms are never split, so a block holds at most this many
+# plus those of its first cluster
+_BLOCK_TERMS = 1 << 16
+
+
 def _log_k_table(lo: np.ndarray, x: np.ndarray):
+    """``_log_k_block`` over blocks of consecutive clusters, joined."""
+    cuts = np.flatnonzero(np.diff((lo + 1).cumsum() // _BLOCK_TERMS)) + 1
+    if cuts.size == 0:
+        return _log_k_block(lo, x)
+    blocks = [_log_k_block(lo_b, x_b) for lo_b, x_b in zip(np.split(lo, cuts), np.split(x, cuts))]
+    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks], axis=1)
+
+
+def _log_k_block(lo: np.ndarray, x: np.ndarray):
     """Scaled log Bessel K at six consecutive half-integer orders per cluster.
 
     Returns ``(log_k, d)``: log_k[k] = log K~_(lo_k+1/2)(x_k), and the 6 x q
@@ -133,8 +151,8 @@ def _log_k_table(lo: np.ndarray, x: np.ndarray):
     (a difference of log-factorials would carry their rounding, some 1e-12
     at n = 5000).  The terms of every cluster lie in one flat array, one
     segment per cluster, so the work is O(sum_k lo_k) numpy arithmetic
-    whatever the number of clusters; each segment's running sum restarts
-    near zero.  The next order's terms are a_i (n+1+i)/(n+1-i), plus
+    whatever the number of clusters, and the memory O(sum_k lo_k) within
+    one block; each segment's running sum restarts near zero.  The next order's terms are a_i (n+1+i)/(n+1-i), plus
     a_n (2n+1)/x, so the ratio of the two orders is a ratio of sums of the
     same terms, in which their rounding cancels.  The forward recurrence
     K_(lam+1) = K_(lam-1) + (2 lam / x) K_lam, stable in the direction of

@@ -51,18 +51,14 @@ def sample_cluster(mu, phi: float, rng: np.random.Generator) -> np.ndarray:
 def simulate_responses(data: ClusteredDataset, params: ModelParams, rng: np.random.Generator) -> ClusteredDataset:
     """New dataset with the same clusters/covariates and model-simulated counts.
 
-    The means come from one product over the stacked design.  The draws are
-    made cluster by cluster in the order ``sample_cluster`` makes them (one
-    normal for T, then the cluster's Poisson counts), so a seed gives the
-    counts that drawing each cluster with ``sample_cluster`` gives.
+    The means come from one product over the stacked design; each
+    cluster's counts are then drawn by ``sample_cluster``, in cluster order.
     """
     mu = np.exp(data.X_stacked @ params.beta)
-    if np.any(mu <= 0.0):
-        raise ValueError("means must be positive")
     y = np.empty(data.n, dtype=np.int64)
     bounds = data.offsets.tolist()
     for a, b in zip(bounds, bounds[1:]):
-        y[a:b] = rng.poisson(mu[a:b] * sample_bs(params.phi, rng))
+        y[a:b] = sample_cluster(mu[a:b], params.phi, rng)
     return data.with_responses(y)
 
 

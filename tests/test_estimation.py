@@ -34,9 +34,15 @@ GAMMA_Y0 = 1.295163479556485
 
 
 class TestConditionalMoment:
-    def test_orders_beyond_two_are_refused(self):
-        with pytest.raises(ValueError):
-            conditional_moment([3, 1], [0.5, 0.9], 0.7, 3)
+    def test_orders_beyond_two_match_quadrature(self):
+        # the kernel serves s = -2..2; other orders come from the recurrence table
+        rng = np.random.default_rng(20250403)
+        for _ in range(4):
+            y, mu, phi = random_cluster(rng)
+            for s in (3, -3, 5, -4):
+                got = conditional_moment(y, mu, phi, s)
+                ref = conditional_moment_quad(y, mu, phi, s)
+                assert got == pytest.approx(ref, rel=1e-8), (y, mu, phi, s)
 
     def test_s_zero_exactly_one(self):
         assert conditional_moment([3, 1], [0.5, 0.9], 0.7, 0) == 1.0

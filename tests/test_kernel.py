@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from cpbs.bessel import log_bessel_k_half_scaled_table
 from cpbs.data import PHI_FLOOR
+from cpbs import model
 from cpbs.model import _log_brackets
 
 EPS = np.finfo(float).eps
@@ -129,3 +130,14 @@ def test_clusters_do_not_interact():
         alone_b0, alone_logm = _log_brackets(y[k : k + 1], mu[k : k + 1], 0.3)
         assert alone_b0[0] == pytest.approx(b0[k], rel=1e-15, abs=1e-13)
         np.testing.assert_allclose(alone_logm[0], logm[k], rtol=1e-14, atol=1e-15)
+
+
+def test_blocks_of_clusters_match_one_pass(monkeypatch):
+    # blocks far smaller than the clusters, and one cluster larger than a block
+    y = np.array([0, 40, 3, 170, 25, 1, 90, 2, 300])
+    mu = np.linspace(0.5, 80.0, y.size)
+    b0, logm = _log_brackets(y, mu, 0.2)
+    monkeypatch.setattr(model, "_BLOCK_TERMS", 64)
+    blocked_b0, blocked_logm = _log_brackets(y, mu, 0.2)
+    np.testing.assert_allclose(blocked_b0, b0, rtol=1e-14, atol=1e-13)
+    np.testing.assert_allclose(blocked_logm, logm, rtol=1e-14, atol=1e-15)

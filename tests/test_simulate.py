@@ -146,10 +146,15 @@ class TestSimulatedDatasets:
         truth = ModelParams(beta=np.array([3.0, -1.25, 0.75]), phi=0.45)
         design = generate_design(q, n_k, np.random.default_rng(seed))
         got = simulate_responses(design, truth, np.random.default_rng(seed + 1))
+        # the draw order every seeded dataset depends on: per cluster, one
+        # normal for T, then the cluster's Poisson counts
         rng = np.random.default_rng(seed + 1)
-        want = np.concatenate([
-            sample_cluster(np.exp(c.X @ truth.beta), truth.phi, rng) for c in design.clusters
-        ])
+        want = []
+        for c in design.clusters:
+            half = 0.5 * truth.phi * rng.standard_normal()
+            root = half + math.sqrt(half * half + 1.0)
+            want.append(rng.poisson(np.exp(c.X @ truth.beta) * (root * root)))
+        want = np.concatenate(want)
         assert got.y_stacked.dtype == want.dtype
         assert np.array_equal(got.y_stacked, want)
         assert got.X_stacked is design.X_stacked and got.ids == design.ids
