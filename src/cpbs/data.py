@@ -10,7 +10,12 @@ each cluster starts, so per-cluster sums are segment reductions
 fits reproducible bit-for-bit under reordering of observations or clusters,
 estimation code consumes the ``canonical`` view, which fixes one
 deterministic arrangement of the rows (clusters sorted by id, rows
-lexicographically within cluster), made by one sort over all rows.
+lexicographically within cluster).  The view has two parts: a design part
+fixed by the ids, offsets and X (the sort of all rows by cluster and X, the
+cluster bounds, the canonical X, the groups of rows that share cluster and
+X, and the rank of X), and a response part (the row permutation and y).
+``with_responses`` shares the design part with the dataset it derives from,
+so a simulated replicate sorts only the counts within those groups.
 
 Containers are treated as immutable after construction; all evaluation code
 is pure, so instances are safe to share across threads.
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.special import gammaln
 
 from .exceptions import RankDeficiencyError
 
@@ -34,6 +40,28 @@ __all__ = ["Cluster", "ClusteredDataset", "ModelParams", "PHI_FLOOR"]
 PHI_FLOOR = 1e-6
 
 
+def _refuse(bad_row: np.ndarray, ids, offsets: np.ndarray, what: str):
+    """Raise ValueError naming the first cluster that has a row in ``bad_row``."""
+    if np.any(bad_row):
+        bad = np.logical_or.reduceat(bad_row, offsets[:-1])
+        raise ValueError(f"cluster {ids[int(np.argmax(bad))]!r}: {what}")
+
+
+def _as_counts(y: np.ndarray, ids, offsets: np.ndarray) -> np.ndarray:
+    """Counts as int64, refusing any that are not non-negative integers, by cluster.
+
+    Integer-valued floats are accepted; a fraction, NaN, an infinity or a
+    value beyond int64 is refused, not truncated by the cast.
+    """
+    if y.dtype.kind not in "iub":
+        y = y.astype(np.float64)
+        # NaN fails both comparisons
+        _refuse(~((np.floor(y) == y) & (np.abs(y) < 2.0**63)), ids, offsets, "counts must be finite integers")
+    y = y.astype(np.int64, copy=False)
+    _refuse(y < 0, ids, offsets, "counts must be non-negative")
+    return y
+
+
 @dataclass(frozen=True)
 class Cluster:
     """One cluster: counts ``y`` (length n_k) and covariate rows ``X`` (n_k x p)."""
@@ -43,7 +71,7 @@ class Cluster:
     X: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.int64)
+        y = np.asarray(self.y)
         X = np.asarray(self.X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"cluster {self.id!r}: X must be 2-d, got shape {X.shape}")
@@ -53,8 +81,7 @@ class Cluster:
             )
         if y.shape[0] < 1:
             raise ValueError(f"cluster {self.id!r}: must contain at least one observation")
-        if np.any(y < 0):
-            raise ValueError(f"cluster {self.id!r}: counts must be non-negative")
+        y = _as_counts(y, (self.id,), np.array([0, y.shape[0]]))
         if not np.all(np.isfinite(X)):
             raise ValueError(f"cluster {self.id!r}: covariates must be finite")
         object.__setattr__(self, "y", y)
@@ -74,6 +101,47 @@ class Cluster:
         return self.y.shape[0]
 
 
+class _Design:
+    """The part of the canonical view that the ids, offsets and X fix.
+
+    ``order`` sorts the stacked rows by cluster (clusters by id), then by the
+    columns of X in turn, ties going to the given row index; ``X`` is
+    ``X_stacked[order]``.  ``starts``, ``sizes`` and ``cluster_order`` are
+    those of ``_CanonicalView``.  ``groups`` numbers, along ``order``, the
+    runs of rows that share their cluster and every covariate, within which
+    the counts decide the canonical order; it is None when no two rows of a
+    cluster share X, and ``order`` is then the canonical order itself.  Rows
+    of a group compare equal but may differ in the sign of a zero; if any
+    do, ``X`` is None and each response part gathers its own.  ``rank`` is
+    the column rank of X, computed on first use.
+    """
+
+    def __init__(self, ids, X: np.ndarray, offsets: np.ndarray):
+        q, sizes = len(ids), np.diff(offsets)
+        cluster_order = np.argsort(np.array(list(map(str, ids))), kind="stable")
+        rank = np.empty(q, dtype=np.int64)
+        rank[cluster_order] = np.arange(q)
+        # lexsort takes its last key as primary and is stable
+        self.order = np.lexsort((*(X[:, j] for j in range(X.shape[1] - 1, -1, -1)), np.repeat(rank, sizes)))
+        self.sizes = sizes[cluster_order]
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.cluster_order = cluster_order
+        self.X = X[self.order]
+        self._X_stacked = X
+        cluster = np.repeat(np.arange(q), self.sizes)
+        tied = (cluster[1:] == cluster[:-1]) & (self.X[1:] == self.X[:-1]).all(axis=1)
+        self.groups = None
+        if np.any(tied):
+            self.groups = np.concatenate([[0], np.cumsum(~tied)])
+            bits = self.X.view(np.uint64)
+            if np.any(bits[1:][tied] != bits[:-1][tied]):
+                self.X = None
+
+    @cached_property
+    def rank(self) -> int:
+        return int(np.linalg.matrix_rank(self._X_stacked))
+
+
 @dataclass(frozen=True)
 class _CanonicalView:
     """Deterministic arrangement of a dataset's stacked rows.
@@ -82,6 +150,10 @@ class _CanonicalView:
     ``stacked_array[perm]`` produces the canonical arrays.  ``starts`` and
     ``sizes`` delimit clusters in canonical cluster order (sorted by id), and
     ``cluster_order[i]`` is the given index of the i-th canonical cluster.
+    ``y_tot`` and ``lgamma`` hold each canonical cluster's count total and
+    sum of log(y!), which depend on the counts alone.  Every field but
+    ``perm``, ``y`` and those two comes from the dataset's ``_Design``, and
+    is the same array in every dataset that shares it.
     """
 
     y: np.ndarray
@@ -90,6 +162,8 @@ class _CanonicalView:
     sizes: np.ndarray
     perm: np.ndarray
     cluster_order: np.ndarray
+    y_tot: np.ndarray
+    lgamma: np.ndarray
 
 
 class ClusteredDataset:
@@ -97,7 +171,8 @@ class ClusteredDataset:
 
     Rows of cluster k are ``offsets[k]:offsets[k + 1]`` of the stacked arrays,
     in given order.  ``ClusteredDataset(clusters)`` stacks ``Cluster``
-    objects; :meth:`from_columns` takes the columns directly.  ``clusters``
+    objects; :meth:`from_columns` takes the columns directly, and
+    :meth:`with_responses` replaces the counts of a dataset.  ``clusters``
     is a tuple of views onto the columns, built on first use.
     """
 
@@ -126,7 +201,7 @@ class ClusteredDataset:
     def _set_columns(self, ids, y, X, offsets):
         """Check the columns as ``Cluster`` checks each cluster, then store them."""
         ids = tuple(ids)
-        y = np.asarray(y, dtype=np.int64)
+        y = np.asarray(y)
         X = np.asarray(X, dtype=np.float64)
         offsets = np.asarray(offsets, dtype=np.int64)
         if len(ids) < 1:
@@ -140,11 +215,8 @@ class ClusteredDataset:
         empty = np.diff(offsets) < 1
         if np.any(empty):
             raise ValueError(f"cluster {ids[int(np.argmax(empty))]!r}: must contain at least one observation")
-        for bad_row, what in ((y < 0, "counts must be non-negative"),
-                              (~np.isfinite(X).all(axis=1), "covariates must be finite")):
-            bad = np.logical_or.reduceat(bad_row, offsets[:-1])
-            if np.any(bad):
-                raise ValueError(f"cluster {ids[int(np.argmax(bad))]!r}: {what}")
+        y = _as_counts(y, ids, offsets)
+        _refuse(~np.isfinite(X).all(axis=1), ids, offsets, "covariates must be finite")
         self.ids = ids
         self.y_stacked = y  # counts in given cluster/row order
         self.X_stacked = X  # design matrix in given cluster/row order
@@ -177,43 +249,55 @@ class ClusteredDataset:
         return np.repeat(np.arange(self.q), self.sizes)
 
     @cached_property
+    def _design(self) -> _Design:
+        return _Design(self.ids, self.X_stacked, self.offsets)
+
+    @cached_property
     def canonical(self) -> _CanonicalView:
-        order = np.argsort(np.array(list(map(str, self.ids))), kind="stable")
-        rank = np.empty(self.q, dtype=np.int64)
-        rank[order] = np.arange(self.q)
-        # one lexsort over all rows, the last key primary: clusters by id, then
-        # rows by first column, second, ..., then y.  Ties are bitwise-identical
-        # rows, so their relative order cannot affect any downstream arithmetic.
-        X = self.X_stacked
-        keys = (self.y_stacked, *(X[:, j] for j in range(X.shape[1] - 1, -1, -1)), rank[self.cluster_index])
-        perm = np.lexsort(keys)
-        sizes = self.sizes[order]
+        """Rows sorted by cluster, X and y, ties to the given row index: the
+        ``_Design`` order, with the rows of each of its groups sorted by y.
+        Ties left are bitwise-identical rows, so their relative order cannot
+        affect any downstream arithmetic.
+        """
+        design = self._design
+        perm = design.order
+        if design.groups is not None:
+            perm = perm[np.lexsort((self.y_stacked[perm], design.groups))]
+        y = self.y_stacked[perm]
         return _CanonicalView(
-            y=self.y_stacked[perm],
-            X=X[perm],
-            starts=np.cumsum(sizes) - sizes,
-            sizes=sizes,
+            y=y,
+            X=self.X_stacked[perm] if design.X is None else design.X,
+            starts=design.starts,
+            sizes=design.sizes,
             perm=perm,
-            cluster_order=order,
+            cluster_order=design.cluster_order,
+            y_tot=np.add.reduceat(y, design.starts),
+            lgamma=np.add.reduceat(gammaln(y + 1.0), design.starts),
         )
 
     def assert_full_rank(self):
         """Raise RankDeficiencyError unless the stacked design has full column rank."""
-        X = self.X_stacked
-        if np.linalg.matrix_rank(X) < self.p:
-            raise RankDeficiencyError(
-                f"design matrix is rank deficient (p={self.p}, rank={np.linalg.matrix_rank(X)})"
-            )
+        rank = self._design.rank
+        if rank < self.p:
+            raise RankDeficiencyError(f"design matrix is rank deficient (p={self.p}, rank={rank})")
 
     def with_responses(self, y_new: np.ndarray) -> "ClusteredDataset":
         """New dataset with the same clusters/covariates and replaced counts.
 
-        ``y_new`` is in stacked (given) order.
+        ``y_new`` is in stacked (given) order.  The counts are checked as
+        :meth:`from_columns` checks them; the ids, offsets and X, checked
+        when this dataset was made, are shared as they are, and so is the
+        design part of the canonical view (built here if it was not yet),
+        so that every dataset derived from one design sorts it once.
         """
         y_new = np.asarray(y_new)
         if y_new.shape != (self.n,):
             raise ValueError(f"expected {self.n} responses, got shape {y_new.shape}")
-        return ClusteredDataset.from_columns(self.ids, y_new, self.X_stacked, self.offsets)
+        data = object.__new__(ClusteredDataset)
+        data.ids, data.X_stacked, data.offsets = self.ids, self.X_stacked, self.offsets
+        data.y_stacked = _as_counts(y_new, self.ids, self.offsets)
+        data._design = self._design
+        return data
 
     def content_hash(self) -> str:
         """Order-sensitive digest of ids, counts and covariates.

@@ -191,12 +191,13 @@ def q_function(data: ClusteredDataset, params: ModelParams, moments: Conditional
     (the sqrt(2 pi) phi normalizer and log-factorials are included), so EM
     progress and observed log-likelihood values live on comparable scales.
     """
-    y_tot, mu_tot, ylogmu, lgam = _canonical_cluster_stats(data, params)
-    order = data.canonical.cluster_order
+    _, mu_tot, ylogmu = _canonical_cluster_stats(data, params)
+    canon = data.canonical
+    order = canon.cluster_order
     phi = params.phi
     inv2p2 = 0.5 / (phi * phi)
     const = 1.0 / (phi * phi) - math.log(phi) - _LOG_SQRT_2PI
-    parts = const + ylogmu - lgam - (mu_tot + inv2p2) * moments.delta[order] - inv2p2 * moments.gamma[order]
+    parts = const + ylogmu - canon.lgamma - (mu_tot + inv2p2) * moments.delta[order] - inv2p2 * moments.gamma[order]
     return math.fsum(parts.tolist())
 
 
@@ -374,7 +375,7 @@ def _louis_pass(data: ClusteredDataset, params: ModelParams) -> _Pass:
     the smaller error: the expansion for its score term where
     phi^8 M_k^3 <= e, and for its Hessian terms where phi^10 M_k^3 <= e.
     """
-    ll, logm = _cluster_pass(data, params)
+    ll, logm, mu, m = _cluster_pass(data, params)
     lm_m2, lm_m1, _, lm_1, lm_2 = logm.T
     canon = data.canonical
     X = canon.X
@@ -387,11 +388,9 @@ def _louis_pass(data: ClusteredDataset, params: ModelParams) -> _Pass:
     var_a = var_t + var_inv + 2.0 * cov_t_inv
     cov_ta = var_t + cov_t_inv
 
-    mu = np.exp(X @ params.beta)
     w = np.repeat(delta, canon.sizes) * mu
     s = np.add.reduceat(X * mu[:, None], canon.starts, axis=0)
-    m = np.add.reduceat(mu, canon.starts)
-    r = np.add.reduceat(canon.y, canon.starts) - m
+    r = canon.y_tot - m
     # the expansion may overflow where the means are huge; it is not taken there
     with np.errstate(over="ignore", invalid="ignore"):
         b = 0.5 * (r * r - m)

@@ -250,30 +250,32 @@ def cluster_log_pmf(y, mu, phi: float) -> float:
 
 
 def _canonical_cluster_stats(data: ClusteredDataset, params: ModelParams):
-    """Per-cluster sums in canonical order: (y_tot, mu_tot, y*log(mu), lgamma(y+1))."""
+    """The means of the canonical rows, and per cluster their sum and sum of y*log(mu).
+
+    The count totals and log-factorial sums, which do not depend on the
+    parameters, are ``data.canonical.y_tot`` and ``.lgamma``.
+    """
     canon = data.canonical
     mu = _means(canon.X, params.beta)
-    y = canon.y
-    y_tot = np.add.reduceat(y, canon.starts)
-    mu_tot = np.add.reduceat(mu, canon.starts)
-    ylogmu = np.add.reduceat(y * np.log(mu), canon.starts)
-    lgam = np.add.reduceat(gammaln(y + 1.0), canon.starts)
-    return y_tot.astype(np.int64), mu_tot, ylogmu, lgam
+    return mu, np.add.reduceat(mu, canon.starts), np.add.reduceat(canon.y * np.log(mu), canon.starts)
 
 
 def _cluster_pass(data: ClusteredDataset, params: ModelParams):
     """One Bessel pass over the canonical clusters: the log-likelihood and the moments.
 
-    Returns ``(loglik, logm)`` where column s + 2 of the q x 5 array ``logm``
-    holds log E(T_k^s | y) for s = -2..2, in canonical cluster order.  The
-    cluster pmf is the shift-0 bracket plus the prefactor, and the moments
-    are ratios of the shifted brackets to it, so one vectorized evaluation
-    of ``_log_brackets`` serves all of them, with no loop over clusters.
+    Returns ``(loglik, logm, mu, mu_tot)`` where column s + 2 of the q x 5
+    array ``logm`` holds log E(T_k^s | y) for s = -2..2, in canonical cluster
+    order; ``mu`` and ``mu_tot`` are the canonical rows' means and their
+    cluster sums, which the score and Hessian reuse.  The cluster pmf is the
+    shift-0 bracket plus the prefactor, and the moments are ratios of the
+    shifted brackets to it, so one vectorized evaluation of
+    ``_log_brackets`` serves all of them, with no loop over clusters.
     """
-    y_tot, mu_tot, ylogmu, lgam = _canonical_cluster_stats(data, params)
-    b0, logm = _log_brackets(y_tot, mu_tot, params.phi)
-    parts = _scaled_prefactor(mu_tot, params.phi) + ylogmu - lgam + b0
-    return math.fsum(parts.tolist()), logm
+    canon = data.canonical
+    mu, mu_tot, ylogmu = _canonical_cluster_stats(data, params)
+    b0, logm = _log_brackets(canon.y_tot, mu_tot, params.phi)
+    parts = _scaled_prefactor(mu_tot, params.phi) + ylogmu - canon.lgamma + b0
+    return math.fsum(parts.tolist()), logm, mu, mu_tot
 
 
 def log_likelihood(data: ClusteredDataset, params: ModelParams) -> float:

@@ -14,8 +14,8 @@ from cpbs import (
     sample_cluster,
     simulate_dataset,
 )
-from cpbs.data import PHI_FLOOR
-from cpbs.simulate import CovariateColumn, default_covariate_spec, generate_design, simulate_responses
+from cpbs.data import PHI_FLOOR, ClusteredDataset
+from cpbs.simulate import _SCALAR_ROWS, CovariateColumn, default_covariate_spec, generate_design, simulate_responses
 from cpbs.exceptions import ConfigSchemaError
 from oracles import bs_cdf_grid
 
@@ -141,20 +141,47 @@ class TestSimulatedDatasets:
         data = simulate_dataset(5, 60, ModelParams(beta=np.array([3.0, -1.25, 0.75]), phi=0.45), seed=1205)
         assert data.content_hash() == "4187b6e42b20c168a4321cdfc3c17400443dc0977b19a1636cebd226db5e2164"
 
-    @pytest.mark.parametrize("q, n_k, seed", [(7, 300, 1), (1000, 5, 1), (5, 60, 1205), (1, 50, 2)])
-    def test_responses_match_per_cluster_draws(self, q, n_k, seed):
-        truth = ModelParams(beta=np.array([3.0, -1.25, 0.75]), phi=0.45)
-        design = generate_design(q, n_k, np.random.default_rng(seed))
-        got = simulate_responses(design, truth, np.random.default_rng(seed + 1))
+    @staticmethod
+    def per_cluster_draws(design, truth, rng):
         # the draw order every seeded dataset depends on: per cluster, one
-        # normal for T, then the cluster's Poisson counts
-        rng = np.random.default_rng(seed + 1)
+        # normal for T, then the cluster's Poisson counts by one array call
         want = []
         for c in design.clusters:
             half = 0.5 * truth.phi * rng.standard_normal()
             root = half + math.sqrt(half * half + 1.0)
             want.append(rng.poisson(np.exp(c.X @ truth.beta) * (root * root)))
-        want = np.concatenate(want)
+        return np.concatenate(want)
+
+    @pytest.mark.parametrize("q, n_k, seed", [
+        (7, 300, 1), (1000, 5, 1), (5, 60, 1205), (1, 50, 2),
+        (40, _SCALAR_ROWS, 3), (40, _SCALAR_ROWS + 1, 4), (300, 1, 5),
+    ])
+    def test_responses_match_per_cluster_draws(self, q, n_k, seed):
+        truth = ModelParams(beta=np.array([3.0, -1.25, 0.75]), phi=0.45)
+        design = generate_design(q, n_k, np.random.default_rng(seed))
+        got = simulate_responses(design, truth, np.random.default_rng(seed + 1))
+        want = self.per_cluster_draws(design, truth, np.random.default_rng(seed + 1))
         assert got.y_stacked.dtype == want.dtype
         assert np.array_equal(got.y_stacked, want)
         assert got.X_stacked is design.X_stacked and got.ids == design.ids
+
+    def test_unequal_cluster_sizes_across_the_cut_off_keep_the_stream(self):
+        # sizes on both sides of the scalar/array cut-off in one dataset, and
+        # means of 20 to 400, so numpy's PTRS sampler (mean >= 10) runs
+        sizes = [1, _SCALAR_ROWS, _SCALAR_ROWS + 1, 300, 2, _SCALAR_ROWS + 1, 1]
+        rng = np.random.default_rng(12)
+        X = np.column_stack([np.ones(sum(sizes)), rng.uniform(0.0, 3.0, sum(sizes))])
+        design = ClusteredDataset.from_columns(
+            [f"k{i}" for i in range(len(sizes))], np.zeros(sum(sizes), dtype=np.int64), X,
+            np.concatenate([[0], np.cumsum(sizes)]),
+        )
+        truth = ModelParams(beta=np.array([3.0, 1.0]), phi=0.3)
+        for seed in range(5):
+            got = simulate_responses(design, truth, np.random.default_rng(seed))
+            want = self.per_cluster_draws(design, truth, np.random.default_rng(seed))
+            assert np.array_equal(got.y_stacked, want)
+            rng = np.random.default_rng(seed)
+            for c in design.clusters:
+                mu = np.exp(c.X @ truth.beta)
+                assert np.array_equal(sample_cluster(mu, truth.phi, rng), want[:c.n])
+                want = want[c.n:]
