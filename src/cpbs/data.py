@@ -12,10 +12,11 @@ estimation code consumes the ``canonical`` view, which fixes one
 deterministic arrangement of the rows (clusters sorted by id, rows
 lexicographically within cluster).  The view has two parts: a design part
 fixed by the ids, offsets and X (the sort of all rows by cluster and X, the
-cluster bounds, the canonical X, the groups of rows that share cluster and
-X, and the rank of X), and a response part (the row permutation and y).
+cluster bounds, the groups of rows that share cluster and X, and the rank
+of X), and a response part (the row permutation, y and the canonical X).
 ``with_responses`` shares the design part with the dataset it derives from,
-so a simulated replicate sorts only the counts within those groups.
+so a simulated replicate sorts only the counts within those groups, and not
+at all when no two rows of a cluster share X.
 
 Containers are treated as immutable after construction; all evaluation code
 is pure, so instances are safe to share across threads.
@@ -105,15 +106,13 @@ class _Design:
     """The part of the canonical view that the ids, offsets and X fix.
 
     ``order`` sorts the stacked rows by cluster (clusters by id), then by the
-    columns of X in turn, ties going to the given row index; ``X`` is
-    ``X_stacked[order]``.  ``starts``, ``sizes`` and ``cluster_order`` are
-    those of ``_CanonicalView``.  ``groups`` numbers, along ``order``, the
-    runs of rows that share their cluster and every covariate, within which
-    the counts decide the canonical order; it is None when no two rows of a
-    cluster share X, and ``order`` is then the canonical order itself.  Rows
-    of a group compare equal but may differ in the sign of a zero; if any
-    do, ``X`` is None and each response part gathers its own.  ``rank`` is
-    the column rank of X, computed on first use.
+    columns of X in turn, ties going to the given row index.  ``starts``,
+    ``sizes`` and ``cluster_order`` are those of ``_CanonicalView``.
+    ``groups`` numbers, along ``order``, the runs of rows that share their
+    cluster and every covariate, within which the counts decide the
+    canonical order; it is None when no two rows of a cluster share X, and
+    ``order`` is then the canonical order itself.  ``rank`` is the column
+    rank of X, computed on first use.
     """
 
     def __init__(self, ids, X: np.ndarray, offsets: np.ndarray):
@@ -126,16 +125,11 @@ class _Design:
         self.sizes = sizes[cluster_order]
         self.starts = np.cumsum(self.sizes) - self.sizes
         self.cluster_order = cluster_order
-        self.X = X[self.order]
         self._X_stacked = X
+        X = X[self.order]
         cluster = np.repeat(np.arange(q), self.sizes)
-        tied = (cluster[1:] == cluster[:-1]) & (self.X[1:] == self.X[:-1]).all(axis=1)
-        self.groups = None
-        if np.any(tied):
-            self.groups = np.concatenate([[0], np.cumsum(~tied)])
-            bits = self.X.view(np.uint64)
-            if np.any(bits[1:][tied] != bits[:-1][tied]):
-                self.X = None
+        tied = (cluster[1:] == cluster[:-1]) & (X[1:] == X[:-1]).all(axis=1)
+        self.groups = np.concatenate([[0], np.cumsum(~tied)]) if np.any(tied) else None
 
     @cached_property
     def rank(self) -> int:
@@ -151,9 +145,9 @@ class _CanonicalView:
     ``sizes`` delimit clusters in canonical cluster order (sorted by id), and
     ``cluster_order[i]`` is the given index of the i-th canonical cluster.
     ``y_tot`` and ``lgamma`` hold each canonical cluster's count total and
-    sum of log(y!), which depend on the counts alone.  Every field but
-    ``perm``, ``y`` and those two comes from the dataset's ``_Design``, and
-    is the same array in every dataset that shares it.
+    sum of log(y!), which depend on the counts alone.  ``starts``, ``sizes``
+    and ``cluster_order`` come from the dataset's ``_Design``, and are the
+    same arrays in every dataset that shares it.
     """
 
     y: np.ndarray
@@ -266,7 +260,7 @@ class ClusteredDataset:
         y = self.y_stacked[perm]
         return _CanonicalView(
             y=y,
-            X=self.X_stacked[perm] if design.X is None else design.X,
+            X=self.X_stacked[perm],
             starts=design.starts,
             sizes=design.sizes,
             perm=perm,

@@ -50,6 +50,13 @@ class TestSampleBs:
         t = sample_bs(0.3, rng)
         assert isinstance(t, float) and t > 0
 
+    @pytest.mark.parametrize("phi", [1e-6, 0.45, 5.0, 40.0])
+    def test_scalar_draws_equal_the_array_form_on_the_same_stream(self, phi):
+        # every seeded dataset takes its T from the scalar form
+        scalar_rng, array_rng = np.random.default_rng(11), np.random.default_rng(11)
+        scalar = [sample_bs(phi, scalar_rng) for _ in range(2000)]
+        assert np.array(scalar).tobytes() == sample_bs(phi, array_rng, size=2000).tobytes()
+
     def test_domain(self):
         with pytest.raises(ValueError):
             sample_bs(0.0, np.random.default_rng(0))
