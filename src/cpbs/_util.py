@@ -4,13 +4,13 @@ Replicated computations (bootstrap, envelopes, Monte Carlo studies) draw each
 replicate from its own RNG stream spawned from one seed, so results are
 identical whether replicates run serially or across processes.  The default
 worker count comes from the ``CPBS_WORKERS`` environment variable (1 if
-unset).
+unset).  The process pool is imported on first parallel use, so a serial
+run never loads ``concurrent.futures``.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -37,5 +37,7 @@ def pmap(fn, items, workers=None) -> list:
     w = effective_workers(workers)
     if w <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=w) as ex:
         return list(ex.map(fn, items, chunksize=max(1, len(items) // (4 * w))))

@@ -25,11 +25,11 @@ is pure, so instances are safe to share across threads.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from .exceptions import RankDeficiencyError
 
@@ -39,6 +39,16 @@ __all__ = ["Cluster", "ClusteredDataset", "ModelParams", "PHI_FLOOR"]
 # fits are constrained to phi >= PHI_FLOOR; a fit at the floor is effectively
 # an ordinary Poisson regression.
 PHI_FLOOR = 1e-6
+
+
+def _log_factorial(y: np.ndarray) -> np.ndarray:
+    """log y! for each of the non-negative integer counts ``y``.
+
+    ``math.lgamma`` is evaluated once per distinct count, so the work and
+    memory are bounded by the number of counts, not by their size.
+    """
+    values, inverse = np.unique(y, return_inverse=True)
+    return np.array([math.lgamma(v + 1.0) for v in values.tolist()])[inverse]
 
 
 def _refuse(bad_row: np.ndarray, ids, offsets: np.ndarray, what: str):
@@ -266,7 +276,7 @@ class ClusteredDataset:
             perm=perm,
             cluster_order=design.cluster_order,
             y_tot=np.add.reduceat(y, design.starts),
-            lgamma=np.add.reduceat(gammaln(y + 1.0), design.starts),
+            lgamma=np.add.reduceat(_log_factorial(y), design.starts),
         )
 
     def assert_full_rank(self):

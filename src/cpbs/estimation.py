@@ -26,8 +26,9 @@ E(T^-2 | y), and Louis' identity turns them into the observed Hessian in
 (beta, phi).  A fit is certified when that Hessian is negative definite and
 the Newton decrement g'(-H)^-1 g is at most ``EmConfig.epsilon``; at the
 dispersion floor, the certificate is the KKT condition of the bound.  Where
-a Newton step cannot be trusted, EM takes an EM step, and the direct fit a
-Newton step on the Hessian with its eigenvalues made negative.
+a Newton step cannot be trusted, both take a Newton step on the Hessian with
+its eigenvalues made negative; where that fails too, EM takes an EM step,
+and the direct fit stops.
 
 Standard errors come from a parametric bootstrap; the observed information
 serves only the Newton finish.  B datasets are simulated at the fitted
@@ -488,6 +489,11 @@ def _modified_newton_step(data: ClusteredDataset, cur: _Pass, free: np.ndarray):
     return _try_step(data, cur, step, psi=False, halvings=_MAX_HALVINGS)
 
 
+def _modified_newton_or_em_step(data: ClusteredDataset, cur: _Pass, free: np.ndarray) -> _Pass:
+    """``_modified_newton_step``, or an EM step where it lowers the log-likelihood at every halving."""
+    return _modified_newton_step(data, cur, free) or _em_step(data, cur, free)
+
+
 def _certified_fit(data: ClusteredDataset, config: EmConfig | None, fallback, method: str) -> FitResult:
     """The guarded Newton loop on the exact observed information that both fits run.
 
@@ -563,10 +569,12 @@ def _certified_fit(data: ClusteredDataset, config: EmConfig | None, fallback, me
 def em_fit(data: ClusteredDataset, config: EmConfig | None = None) -> FitResult:
     """Fit by EM with a guarded Newton finish on the exact observed information.
 
-    Runs ``_certified_fit``, with an EM step wherever no Newton step can be
-    taken.
+    Runs ``_certified_fit``.  Wherever no Newton step can be taken, it takes
+    the modified Newton step of ``direct_ml_fit``, and an EM step only where
+    that step lowers the log-likelihood at every halving; EM steps alone
+    crawl there, where the likelihood is not concave.
     """
-    return _certified_fit(data, config, _em_step, "em")
+    return _certified_fit(data, config, _modified_newton_or_em_step, "em")
 
 
 def direct_ml_fit(data: ClusteredDataset, config: EmConfig | None = None) -> FitResult:

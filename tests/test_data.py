@@ -1,5 +1,8 @@
+import math
+import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -133,3 +136,43 @@ class TestDesignWorkPerDesign:
         report = run_mc_study(McConfig(q=40, n_k=5, theta_true=S5_TRUTH, reps=5, seed=3), workers=1)
         assert report.n_failed == 0
         assert counted == {"design": 1, "matrix_rank": 1}
+
+
+class TestLogFactorial:
+    def test_matches_mpmath_loggamma(self):
+        ys = list(range(3001)) + [10**6, 2**40 - 1, 2**40]
+        got = data_module._log_factorial(np.array(ys, dtype=np.int64))
+        assert got.dtype == np.float64 and got.shape == (len(ys),)
+        with mpmath.workdps(40):
+            for y, v in zip(ys, got.tolist()):
+                ref = mpmath.loggamma(y + 1)
+                if ref == 0:
+                    assert v == 0.0, y  # 0! = 1! = 1
+                else:
+                    assert abs(mpmath.mpf(v) / ref - 1) <= 1e-15, y
+
+    def test_order_and_repeats_do_not_matter(self):
+        y = np.array([7, 0, 7, 2**40, 1, 7, 0, 300])
+        got = data_module._log_factorial(y)
+        assert got.tolist() == [math.lgamma(v + 1.0) for v in y.tolist()]
+
+    @pytest.mark.parametrize("q,n_k,seed", [(7, 300, 2), (1000, 5, 1), (20, 50, 3)])
+    def test_canonical_lgamma_is_the_cluster_sum(self, q, n_k, seed):
+        canon = simulate_dataset(q, n_k, S5_TRUTH, seed=seed).canonical
+        bounds = np.append(canon.starts, canon.y.size).tolist()
+        ref = [math.fsum(math.lgamma(v + 1.0) for v in canon.y[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+        # the sum runs in row order; it is within a few ulps of the exactly rounded sum
+        np.testing.assert_allclose(canon.lgamma, ref, rtol=1e-15, atol=0)
+
+    def test_a_huge_count_allocates_nothing_of_its_size(self):
+        data = ClusteredDataset.from_columns(["a", "b"], [2**40, 3, 0, 2**40 - 5], np.ones((4, 1)), [0, 2, 4])
+        tracemalloc.start()
+        try:
+            lgamma = data.canonical.lgamma
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        np.testing.assert_allclose(
+            lgamma, [math.lgamma(2.0**40 + 1.0) + math.log(6.0), math.lgamma(2.0**40 - 4.0)], rtol=1e-15
+        )

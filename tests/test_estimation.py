@@ -460,6 +460,26 @@ class TestCertification:
         np.testing.assert_allclose(z(fit), z(direct), rtol=0, atol=1e-6)
         assert fit.loglik >= direct.loglik - 1e-9
 
+    @pytest.mark.parametrize("seed,replicate", [(1, 13), (1, 19), (5, 12)])
+    def test_em_takes_a_modified_newton_step_before_an_em_step(self, seed, replicate):
+        # envelope replicates (m = 20) of the paper cell where neither chart
+        # gives a Newton step at the start; EM steps alone took 16, 24 and
+        # 61 iterations to reach the region where Newton steps take over
+        from cpbs import _util
+        from cpbs.simulate import simulate_responses
+
+        data = simulate_dataset(7, 300, S5_TRUTH, seed=seed)
+        params = em_fit(data).params
+        ss = _util.replicate_seeds(seed, 20)[replicate]
+        sim = simulate_responses(data, params, np.random.default_rng(ss))
+        config = EmConfig(init=params)
+        fit = em_fit(sim, config)
+        assert fit.converged and fit.iterations <= 8
+        assert np.all(np.diff(fit.loglik_trace) >= 0.0)
+        direct = direct_ml_fit(sim, config)
+        assert np.array_equal(fit.params.as_array(), direct.params.as_array())
+        assert fit.loglik == direct.loglik and fit.iterations == direct.iterations
+
     @pytest.mark.parametrize("fit_fn", [em_fit, direct_ml_fit], ids=["em", "direct"])
     @pytest.mark.parametrize("make", [_intercept_only_floor_dataset, lambda: simulate_dataset(1, 50, S5_TRUTH, seed=2)],
                              ids=["intercept_only", "q1_seed2"])
