@@ -2,10 +2,10 @@
 
 The design mirrors the benchmark simulation: q clusters of n_k individuals,
 log mean  3.0 - 1.25 x1 + 0.75 x2  with x1 ~ N(3.7, 0.2^2), x2 ~ Bern(0.45),
-and dispersion 0.45.  Both fits take guarded Newton steps on the exact
-observed information and stop on the same certificate; where no Newton step
-can be taken, EM falls back on closed-form posterior moments and a Poisson
-fit with offsets, and direct maximization on a modified Newton step.
+and dispersion 0.45.  Both names run one fit loop: guarded Newton steps on
+the exact observed information, which the EM posterior moments give, with a
+modified Newton step where no Newton step can be taken, stopping on one
+certificate.  So the two fits agree bit for bit.
 """
 
 import numpy as np

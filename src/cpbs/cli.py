@@ -85,11 +85,13 @@ def _emit(text: str, out_path):
 
 
 def cmd_fit(args) -> int:
+    if args.boot != 0 and args.boot < 2:
+        raise _UsageError("--boot must be 0 (no bootstrap) or at least 2")
     spec = _spec_from_args(args)
     data = load_csv(args.data, spec)
     config = EmConfig(epsilon=args.epsilon, max_iter=args.max_iter)
     fit = (em_fit if args.method == "em" else direct_ml_fit)(data, config)
-    if fit.converged and args.boot >= 2:
+    if fit.converged and args.boot:
         bootstrap_se(data, spec.link, fit, B=args.boot, seed=args.seed, workers=args.workers)
     report = FitReport.from_fit(data, spec, fit, epsilon=config.epsilon, seed=args.seed)
     _emit(report.to_json(), args.out)
@@ -105,9 +107,11 @@ def cmd_diagnose(args) -> int:
     report = FitReport.from_json_file(args.fit)
     data = load_csv(args.data, report.spec)
     report.check_matches(data)
+    # refuse before any file is written: the envelopes need a converged fit and m >= 20
     if not report.converged:
-        # refuse before any file is written: the envelopes need a converged fit
         raise _UsageError("envelopes require a converged fit")
+    if args.envelope_m < 20:
+        raise _UsageError("--envelope-m must be at least 20")
     params = report.params()
 
     res = pearson_residuals(data, params)
@@ -255,7 +259,7 @@ def build_parser() -> _Parser:
     p_fit.add_argument("--link", default="log", help="link function; only the default, log, is supported")
     p_fit.add_argument("--method", choices=["em", "direct"], default="em")
     p_fit.add_argument("--boot", type=int, default=500,
-                       help="bootstrap replications for SEs (default 500; 0 skips)")
+                       help="bootstrap replications for SEs, 0 or at least 2 (default 500; 0 skips)")
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--epsilon", type=float, default=1e-8,
                        help="the fit is certified when the Newton decrement g'(-H)^-1 g is at "
@@ -269,7 +273,7 @@ def build_parser() -> _Parser:
     p_diag.add_argument("--data", required=True, help="the CSV the fit was produced from")
     p_diag.add_argument("--fit", required=True, help="saved fit report JSON")
     p_diag.add_argument("--out-dir", required=True, help="directory for the three CSVs")
-    p_diag.add_argument("--envelope-m", type=int, default=100)
+    p_diag.add_argument("--envelope-m", type=int, default=100, help="envelope replicates, at least 20")
     p_diag.add_argument("--seed", type=int, default=0)
     p_diag.add_argument("--workers", type=int, default=None)
     p_diag.set_defaults(func=cmd_diagnose)

@@ -1,6 +1,6 @@
-"""Maximum-likelihood fitting: EM algorithm, direct maximization, bootstrap.
+"""Maximum-likelihood fitting: one certified Newton loop, and the bootstrap.
 
-The EM route exploits the closed-form posterior moments of the latent
+The EM pieces exploit the closed-form posterior moments of the latent
 cluster effects.  Writing delta_k = E(T_k | counts) and gamma_k =
 E(T_k^-1 | counts), the expected complete-data log-likelihood ("Q-function")
 separates: the regression coefficients solve a Poisson score with
@@ -13,26 +13,25 @@ is closed form,
 
     phi = sqrt( mean_k(delta_k + gamma_k) - 2 ),
 
-non-negative by Cauchy-Schwarz on the posterior.  Direct maximization of the
-observed log-likelihood is provided as a cross-check.  Both run on one
-vectorized Bessel pass over all clusters, which yields the log-likelihood and
+non-negative by Cauchy-Schwarz on the posterior.  The fits take no EM step:
+one vectorized Bessel pass over all clusters yields the log-likelihood and
 the posterior moments together; by the Fisher identity
 grad l(theta) = grad Q(theta | theta), those moments give the exact score, so
 no derivative is taken numerically.
 
-Both fits take guarded Newton steps on the exact observed information: the
-same pass, taken over order shifts -2..2, also gives E(T^2 | y) and
-E(T^-2 | y), and Louis' identity turns them into the observed Hessian in
-(beta, phi).  A fit is certified when that Hessian is negative definite and
-the Newton decrement g'(-H)^-1 g is at most ``EmConfig.epsilon``; at the
-dispersion floor, the certificate is the KKT condition of the bound.  Where
-a Newton step cannot be trusted, both take a Newton step on the Hessian with
-its eigenvalues made negative; where that fails too, EM takes an EM step,
-and the direct fit stops.
+``em_fit`` and ``direct_ml_fit`` run one loop and return the same fit: guarded
+Newton steps on the exact observed information.  The same pass, taken over
+order shifts -2..2, also gives E(T^2 | y) and E(T^-2 | y), and Louis'
+identity turns them into the observed Hessian in (beta, phi).  A fit is
+certified when that Hessian is negative definite and the Newton decrement
+g'(-H)^-1 g is at most ``EmConfig.epsilon``; at the dispersion floor, the
+certificate is the KKT condition of the bound.  Where a Newton step cannot
+be trusted, the loop takes one on the Hessian with its eigenvalues made
+negative, halved down to rounding; if none of its halvings rises, it stops.
 
 Standard errors come from a parametric bootstrap; the observed information
 serves only the Newton finish.  B datasets are simulated at the fitted
-parameters with the original design and cluster sizes, each refit by EM, and
+parameters with the original design and cluster sizes, each refit, and
 per-coordinate sample standard deviations reported.
 """
 
@@ -47,7 +46,7 @@ from . import _util
 from .bessel import log_bessel_k_half_scaled_table
 from .data import PHI_FLOOR, ClusteredDataset, ModelParams
 from .exceptions import BootstrapFailureError, CpbsError, MStepConvergenceError, RankDeficiencyError
-from .model import _canonical_cluster_stats, _cluster_pass, _log_brackets
+from .model import _canonical_cluster_stats, _cluster_pass, _log_brackets, _means
 from .simulate import simulate_responses
 
 __all__ = [
@@ -67,7 +66,7 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_MAX_HALVINGS = 10  # a Newton step that still lowers the log-likelihood at 1/1024 gives way to the fallback
+_MAX_HALVINGS = 10  # a Newton step that still lowers the log-likelihood at 1/1024 gives way to the modified step
 # a bound on the absolute rounding of the posterior moments E(T^s | y) near
 # phi -> 0; against 60-digit sums the kernel's worst is 2.2e-16 there
 _MOMENT_ROUNDING = 2e-15
@@ -301,11 +300,12 @@ def m_step_phi(moments: ConditionalMoments) -> float:
     """Closed-form dispersion update phi = sqrt(mean_k(delta_k + gamma_k) - 2).
 
     The argument is non-negative because delta_k * gamma_k >= 1 per cluster;
-    a materially negative value indicates an upstream numerical fault.  The
-    result is clamped to the dispersion floor.
+    a materially negative value indicates an upstream numerical fault and
+    raises ValueError.  The result is clamped to the dispersion floor.
     """
     mean_sum = float(np.mean(moments.delta + moments.gamma))
-    assert mean_sum >= 2.0 - 1e-8, "posterior moments violate delta+gamma >= 2"
+    if not mean_sum >= 2.0 - 1e-8:
+        raise ValueError("posterior moments violate delta + gamma >= 2")
     return max(math.sqrt(max(mean_sum - 2.0, 0.0)), PHI_FLOOR)
 
 
@@ -313,11 +313,15 @@ def _poisson_glm_init(data: ClusteredDataset) -> ModelParams:
     """Plain Poisson fit ignoring clustering, plus method-of-moments dispersion.
 
     The dispersion start matches the pooled Pearson overdispersion statistic
-    to the model's variance function and is clamped to [0.05, 5].
+    to the model's variance function and is clamped to [0.05, 5].  Means
+    that underflow or overflow (separated zeros) raise MStepConvergenceError.
     """
     beta = m_step_beta(data, np.ones(data.q), np.zeros(data.p), tol=1e-8)
     canon = data.canonical
-    mu = np.exp(canon.X @ beta)
+    try:
+        mu = _means(canon.X, beta)
+    except ValueError:
+        raise MStepConvergenceError("the Poisson-GLM start's means underflow or overflow", beta_last=beta) from None
     num = float(np.sum((canon.y - mu) ** 2 - mu))
     den = float(np.sum(mu**2))
     c = max(num / den, 0.0) if den > 0 else 0.0
@@ -332,7 +336,7 @@ class _Pass:
     """The log-likelihood, exact score and observed Hessian at one iterate.
 
     Score and Hessian are in (beta, phi); delta and gamma are the posterior
-    moments in canonical cluster order, kept for the EM step.
+    moments E(T | y) and E(1/T | y) in canonical cluster order.
     """
 
     params: ModelParams
@@ -445,12 +449,12 @@ def _psi_chart(cur: _Pass):
     return g, h
 
 
-def _try_step(data: ClusteredDataset, cur: _Pass, step: np.ndarray, psi: bool, halvings: int):
+def _try_step(data: ClusteredDataset, cur: _Pass, step: np.ndarray, psi: bool, halvings: int, strict=False):
     """The pass at the first of step, step/2, ... where the log-likelihood does not fall.
 
     The last coordinate of ``step`` moves phi, or psi = phi^2 if ``psi``, and
-    the dispersion is projected onto phi >= PHI_FLOOR.  None if every trial
-    falls or leaves the model's domain.
+    the dispersion is projected onto phi >= PHI_FLOOR; with ``strict`` a tie
+    counts as a fall.  None if every trial falls or leaves the model's domain.
     """
     beta, phi = cur.params.beta, cur.params.phi
     for _ in range(halvings + 1):
@@ -462,61 +466,54 @@ def _try_step(data: ClusteredDataset, cur: _Pass, step: np.ndarray, psi: bool, h
             trial = _louis_pass(data, ModelParams(beta=beta + step[:-1], phi=phi_new))
         except (ValueError, OverflowError, FloatingPointError):
             trial = None
-        if trial is not None and trial.loglik >= cur.loglik:
+        if trial is not None and (trial.loglik > cur.loglik if strict else trial.loglik >= cur.loglik):
             return trial
         step = 0.5 * step
     return None
-
-
-def _em_step(data: ClusteredDataset, cur: _Pass, free: np.ndarray) -> _Pass:
-    """One EM step from the iterate: ``m_step_beta`` plus ``m_step_phi``."""
-    moments = ConditionalMoments(*_given_order(data, cur.delta, cur.gamma))
-    beta = m_step_beta(data, moments.delta, cur.params.beta)
-    return _louis_pass(data, ModelParams(beta=beta, phi=m_step_phi(moments)))
 
 
 def _modified_newton_step(data: ClusteredDataset, cur: _Pass, free: np.ndarray):
     """A Newton step on the free coordinates with -H made positive definite.
 
     The eigenvalues of -H are replaced by their absolute values, floored at
-    _EIGEN_FLOOR times the largest, so the step rises along the score.  It is
-    projected and halved as a Newton step is; None if every halving falls.
+    _EIGEN_FLOOR times the largest, so the step rises along the score but can
+    be a thousand units long.  It is projected as a Newton step is, and
+    halved until its largest coordinate falls below eps * (1 + max|theta|),
+    where the iterate stops moving.  None if no halving strictly rises.
     """
     w, v = np.linalg.eigh(-cur.hessian[np.ix_(free, free)])
     w = np.maximum(np.abs(w), _EIGEN_FLOOR * np.abs(w).max())
     step = np.zeros_like(cur.score)
     step[free] = v @ ((v.T @ cur.score[free]) / w)
-    return _try_step(data, cur, step, psi=False, halvings=_MAX_HALVINGS)
+    rounding = np.finfo(np.float64).eps * (1.0 + np.abs(cur.params.as_array()).max())
+    # frexp(x)[1] - 1 = floor(log2 x): the halvings that keep the step at or above the rounding
+    halvings = math.frexp(float(np.abs(step).max()) / rounding)[1] - 1
+    return _try_step(data, cur, step, psi=False, halvings=halvings, strict=True)
 
 
-def _modified_newton_or_em_step(data: ClusteredDataset, cur: _Pass, free: np.ndarray) -> _Pass:
-    """``_modified_newton_step``, or an EM step where it lowers the log-likelihood at every halving."""
-    return _modified_newton_step(data, cur, free) or _em_step(data, cur, free)
-
-
-def _certified_fit(data: ClusteredDataset, config: EmConfig | None, fallback, method: str) -> FitResult:
+def _certified_fit(data: ClusteredDataset, config: EmConfig | None, method: str) -> FitResult:
     """The guarded Newton loop on the exact observed information that both fits run.
 
     The loop starts at ``config.init``.  Each iteration makes one Bessel pass
     at the iterate, which gives the log-likelihood, the exact score and the
     Louis Hessian in (beta, phi).  The free coordinates are (beta, phi), or
     beta alone when phi sits at PHI_FLOOR with a non-positive dispersion
-    slope (the KKT condition of the bound).  If the free Hessian is negative definite, the iteration takes
-    the Newton step, projected onto phi >= PHI_FLOOR and halved until the
+    slope (the KKT condition of the bound).  If the free Hessian is negative
+    definite, the iteration takes the Newton step, projected onto
+    phi >= PHI_FLOOR and halved up to _MAX_HALVINGS times until the
     log-likelihood does not fall.  Where it is not, the same is tried in
     (beta, phi^2), in which the likelihood is concave below a small interior
-    dispersion optimum; failing both, or if halving fails, the iteration
-    takes ``fallback(data, cur, free)``, the next pass, or None if the
-    fallback finds no step that keeps the log-likelihood from falling.
+    dispersion optimum.  Failing both, or if halving fails, the iteration
+    takes ``_modified_newton_step``, and the fit stops if that finds no rise.
 
     The fit is certified, and ``converged`` set, when the free Hessian is
     negative definite and the Newton decrement g'(-H)^-1 g is at most
     ``config.epsilon``; that last Newton step is then taken if the
     log-likelihood does not fall.  After ``config.max_iter`` iterations
-    without a certificate, or when the fallback finds no step,
+    without a certificate, or when the modified Newton step finds no rise,
     non-convergence is flagged.  The observed log-likelihood is recorded at
     every iterate, plus once at the returned estimate, and is non-decreasing
-    along the path.
+    along the path.  ``method`` only labels the result.
     """
     config = EmConfig() if config is None else config
     data.assert_full_rank()
@@ -545,9 +542,9 @@ def _certified_fit(data: ClusteredDataset, config: EmConfig | None, fallback, me
             if nxt is not None:
                 cur = nxt
                 continue
-        nxt = fallback(data, cur, free)
+        nxt = _modified_newton_step(data, cur, free)
         if nxt is None:
-            message = "the fallback step lowered the log-likelihood at every halving"
+            message = "the modified Newton step lowered or kept the log-likelihood at every halving"
             break
         cur = nxt
     trace.append(cur.loglik)
@@ -567,26 +564,18 @@ def _certified_fit(data: ClusteredDataset, config: EmConfig | None, fallback, me
 
 
 def em_fit(data: ClusteredDataset, config: EmConfig | None = None) -> FitResult:
-    """Fit by EM with a guarded Newton finish on the exact observed information.
+    """Fit by ``_certified_fit`` on the E-step's Louis Hessian; ``method="em"``.
 
-    Runs ``_certified_fit``.  Wherever no Newton step can be taken, it takes
-    the modified Newton step of ``direct_ml_fit``, and an EM step only where
-    that step lowers the log-likelihood at every halving; EM steps alone
-    crawl there, where the likelihood is not concave.
+    The fit equals ``direct_ml_fit``'s bit for bit.  It takes no EM step: EM
+    steps crawl where the likelihood is not concave, and there the loop takes
+    the modified Newton step, halved down to rounding, instead.
     """
-    return _certified_fit(data, config, _modified_newton_or_em_step, "em")
+    return _certified_fit(data, config, "em")
 
 
 def direct_ml_fit(data: ClusteredDataset, config: EmConfig | None = None) -> FitResult:
-    """Direct maximization of the observed log-likelihood by guarded Newton steps.
-
-    Runs ``_certified_fit``, with the start, certificate, floor rule,
-    tolerance and iteration bound of ``em_fit``, but takes no EM step:
-    wherever no Newton step can be taken, it takes a modified Newton step
-    (``_modified_newton_step``).  If that step lowers the log-likelihood at
-    every halving, the fit stops and non-convergence is flagged.
-    """
-    return _certified_fit(data, config, _modified_newton_step, "direct")
+    """The fit of ``em_fit``, labelled ``method="direct"`` (``cpbs fit --method direct``)."""
+    return _certified_fit(data, config, "direct")
 
 
 def _bootstrap_replicate(args):
@@ -611,7 +600,7 @@ def bootstrap_se(
     """Parametric-bootstrap standard errors for (beta..., phi).
 
     Simulates B datasets at the fitted parameters with the original design
-    and cluster sizes, refits each by EM, and returns per-coordinate sample
+    and cluster sizes, refits each, and returns per-coordinate sample
     standard deviations.  Replicates that fail to converge are dropped and
     counted; more than 10% dropped is an error.  Results are deterministic
     in ``seed`` and independent of the worker count.  On success the fit

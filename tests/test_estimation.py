@@ -24,7 +24,7 @@ from cpbs import (
 )
 from cpbs import estimation
 from cpbs.estimation import ConditionalMoments, _louis_pass
-from cpbs.exceptions import RankDeficiencyError
+from cpbs.exceptions import MStepConvergenceError, RankDeficiencyError
 from conftest import S5_TRUTH, random_cluster, toy_dataset
 from oracles import conditional_moment_quad
 
@@ -137,6 +137,12 @@ class TestMStepPhi:
     def test_arithmetic_example(self):
         moments = ConditionalMoments(delta=np.full(6, 2.0), gamma=np.ones(6))
         assert m_step_phi(moments) == pytest.approx(1.0, rel=1e-14)
+
+    def test_moments_below_the_cauchy_schwarz_bound_raise(self):
+        # delta * gamma >= 1 for any posterior, so delta + gamma < 2 is a fault
+        # upstream; the check is a raise, not an assert that python -O strips
+        with pytest.raises(ValueError, match="delta \\+ gamma"):
+            m_step_phi(ConditionalMoments(np.full(3, 0.5), np.full(3, 0.5)))
 
 
 class TestEmFit:
@@ -298,10 +304,11 @@ class TestDirectMl:
 
     def test_stops_uncertified_when_no_step_ascends(self, s5_small, monkeypatch):
         monkeypatch.setattr(estimation, "_try_step", lambda *args, **kwargs: None)
-        fit = direct_ml_fit(s5_small)
-        assert not fit.converged and fit.iterations == 1
-        assert fit.loglik_trace.shape == (2,) and fit.loglik_trace[0] == fit.loglik_trace[1]
-        assert "every halving" in fit.message
+        for fit_fn in (direct_ml_fit, em_fit):
+            fit = fit_fn(s5_small)
+            assert not fit.converged and fit.iterations == 1
+            assert fit.loglik_trace.shape == (2,) and fit.loglik_trace[0] == fit.loglik_trace[1]
+            assert "every halving" in fit.message
 
     def test_maximized_loglik_beats_truth(self):
         for seed in (1, 2, 3):
@@ -517,3 +524,61 @@ class TestCertification:
             assert np.all(np.diff(refit.loglik_trace) >= -1e-10), k
             interior += not refit.phi_at_floor
         assert interior >= 5
+
+    @pytest.mark.parametrize("phi,q,n_k,seed,replicate", [(0.45, 5, 15, 3, 8), (0.8, 5, 15, 6, 4)])
+    def test_modified_newton_step_halved_to_rounding_rescues_refits(self, phi, q, n_k, seed, replicate):
+        # bootstrap-style refits where no Newton step is taken at the start and
+        # the modified Newton step, about a thousand units long in phi, first
+        # rises after 12 and 11 halvings, more than _MAX_HALVINGS
+        from cpbs import _util
+        from cpbs.simulate import simulate_responses
+
+        data = simulate_dataset(q, n_k, ModelParams(beta=np.array([1.0, -0.25, 0.75]), phi=phi), seed=seed)
+        params = em_fit(data).params
+        ss = _util.replicate_seeds(seed, 20)[replicate]
+        sim = simulate_responses(data, params, np.random.default_rng(ss))
+        config = EmConfig(init=params)
+        fit, direct = em_fit(sim, config), direct_ml_fit(sim, config)
+        assert fit.converged and fit.iterations <= 8
+        assert np.all(np.diff(fit.loglik_trace) >= 0.0)
+        assert np.array_equal(fit.params.as_array(), direct.params.as_array())
+        assert fit.loglik == direct.loglik and fit.iterations == direct.iterations
+        default = em_fit(sim)
+        assert default.converged
+        np.testing.assert_allclose(fit.params.as_array(), default.params.as_array(), rtol=0, atol=1e-6)
+        assert fit.loglik == pytest.approx(default.loglik, abs=1e-9)
+
+
+def _quasi_separated_replicate():
+    """Replicate 9 of a bootstrap of a q=2, n_k=5 dataset, and that dataset."""
+    from cpbs import _util
+    from cpbs.simulate import simulate_responses
+
+    data = simulate_dataset(2, 5, ModelParams(beta=np.array([1.0, -0.25, 0.75]), phi=0.2), seed=1)
+    ss = _util.replicate_seeds(1, 20)[9]
+    return simulate_responses(data, em_fit(data).params, np.random.default_rng(ss)), data
+
+
+class TestQuasiSeparation:
+    # the replicate's Poisson MLE does not exist: its means run to 0 along a
+    # direction of beta (Santos Silva & Tenreyro 2010)
+
+    @pytest.mark.parametrize("fit_fn", [em_fit, direct_ml_fit], ids=["em", "direct"])
+    def test_poisson_glm_start_raises_an_m_step_error(self, fit_fn):
+        sim, _ = _quasi_separated_replicate()
+        with pytest.raises(MStepConvergenceError, match="underflow or overflow") as info:
+            fit_fn(sim)
+        assert info.value.beta_last is not None and np.abs(info.value.beta_last).max() > 100.0
+
+    def test_refit_from_the_fit_ends_uncertified(self):
+        sim, data = _quasi_separated_replicate()
+        fit = em_fit(sim, EmConfig(init=em_fit(data).params))
+        assert not fit.converged
+        assert np.all(np.diff(fit.loglik_trace) >= 0.0)
+
+    def test_bootstrap_drops_the_replicate(self):
+        _, data = _quasi_separated_replicate()
+        fit = em_fit(data)
+        se = bootstrap_se(data, "log", fit, B=20, seed=1)
+        assert np.all(np.isfinite(se)) and np.all(se > 0.0)
+        assert fit.boot_dropped == 1 and fit.B == 20

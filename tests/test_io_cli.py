@@ -302,6 +302,43 @@ class TestCliWorkflow:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("boot", [1, -3])
+    def test_boot_below_two_is_a_usage_error(self, sim_csv, tmp_path, boot):
+        _, path = sim_csv
+        out = tmp_path / "boot.json"
+        code = self.run_cli(
+            "fit", "--data", path, "--response", "y", "--cluster", "cluster",
+            "--covariates", "x1,x2", "--boot", boot, "--out", out,
+        )
+        assert code == 3
+        assert not out.exists()  # refused before fitting
+
+    def test_diagnose_refuses_small_envelope_m_before_writing(self, sim_csv, fit_json, tmp_path):
+        _, path = sim_csv
+        out_dir = tmp_path / "diag"
+        out_dir.mkdir()
+        code = self.run_cli("diagnose", "--data", path, "--fit", fit_json, "--out-dir", out_dir, "--envelope-m", 5)
+        assert code == 3
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("method", ["em", "direct"])
+    def test_exit_code_estimation_on_a_poisson_start_that_underflows(self, tmp_path, method):
+        # a bootstrap replicate of a q=2, n_k=5 dataset whose Poisson MLE does
+        # not exist: the Poisson-GLM start's means underflow
+        from cpbs import _util, em_fit, simulate_dataset
+        from cpbs.simulate import simulate_responses
+
+        data = simulate_dataset(2, 5, ModelParams(beta=np.array([1.0, -0.25, 0.75]), phi=0.2), seed=1)
+        rng = np.random.default_rng(_util.replicate_seeds(1, 20)[9])
+        sim = simulate_responses(data, em_fit(data).params, rng)
+        path = tmp_path / "separated.csv"
+        write_dataset_csv(path, sim, ModelSpec(response="y", cluster="cluster", covariates=("x1", "x2")))
+        code = self.run_cli(
+            "fit", "--data", path, "--response", "y", "--cluster", "cluster",
+            "--covariates", "x1,x2", "--boot", 0, "--method", method,
+        )
+        assert code == 7
+
     def test_exit_code_missing_file(self, tmp_path):
         code = self.run_cli(
             "fit", "--data", tmp_path / "absent.csv", "--response", "y",
