@@ -3,9 +3,10 @@
 Counts within a cluster share one latent multiplicative Birnbaum-Saunders
 effect, giving overdispersed, positively within-cluster-correlated counts
 with a fully explicit likelihood.  The package provides exact likelihood
-evaluation, EM and direct maximum-likelihood fitting, parametric-bootstrap
-standard errors, residual/influence diagnostics, samplers, and a Monte Carlo
-study harness.
+evaluation, maximum-likelihood fitting by one certified Newton loop on the
+exact observed information (``em_fit`` and ``direct_ml_fit`` both run it),
+parametric-bootstrap standard errors, residual/influence diagnostics,
+samplers, and a Monte Carlo study harness.
 """
 
 from .bessel import (

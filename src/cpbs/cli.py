@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import ClusteredDataset, ModelParams
 from .diagnostics import gcd_one_step, pearson_residuals, simulated_envelopes
-from .estimation import EmConfig, FitResult, bootstrap_se, direct_ml_fit, em_fit, posterior_moments
+from .estimation import EmConfig, bootstrap_se, direct_ml_fit, em_fit, posterior_moments
 from .exceptions import (
     BootstrapFailureError,
     ConfigSchemaError,
@@ -119,10 +119,6 @@ def cmd_diagnose(args) -> int:
     labels = [ids[k] for k in data.cluster_index.tolist()]
     idx = _within_cluster_index(data)
     y = data.y_stacked
-    fit_like = FitResult(
-        params=params, loglik=report.loglik, loglik_trace=np.array([report.loglik]),
-        iterations=report.iterations, converged=report.converged, method=report.method,
-    )
 
     with open(f"{args.out_dir}/residuals.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -133,9 +129,7 @@ def cmd_diagnose(args) -> int:
                 repr(float(res.lambda_hat[i])), repr(float(res.sigma2_hat[i])), repr(float(res.r[i])),
             ])
 
-    bands = simulated_envelopes(
-        data, fit_like, m=args.envelope_m, seed=args.seed, workers=args.workers
-    )
+    bands = simulated_envelopes(data, params, m=args.envelope_m, seed=args.seed, workers=args.workers)
     with open(f"{args.out_dir}/envelope.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["rank", "r_sorted", "lo", "hi", "inside"])

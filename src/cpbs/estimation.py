@@ -208,7 +208,7 @@ def q_score_beta(data: ClusteredDataset, params: ModelParams, delta: np.ndarray)
     """
     canon = data.canonical
     delta_c = np.asarray(delta, dtype=np.float64)[canon.cluster_order]
-    mu = np.exp(canon.X @ params.beta)
+    mu = _means(canon.X, params.beta)
     w = np.repeat(delta_c, canon.sizes) * mu
     return canon.X.T @ (canon.y - w)
 
@@ -578,15 +578,32 @@ def direct_ml_fit(data: ClusteredDataset, config: EmConfig | None = None) -> Fit
     return _certified_fit(data, config, "direct")
 
 
-def _bootstrap_replicate(args):
-    data, params, ss = args
-    rng = np.random.default_rng(ss)
-    sim = simulate_responses(data, params, rng)
+def _refit_replicate(args):
+    data, params, ss, warm = args
+    sim = simulate_responses(data, params, np.random.default_rng(ss))
     try:
-        fit = em_fit(sim, EmConfig(init=params))
+        fit = em_fit(sim, EmConfig(init=params) if warm else None)
     except CpbsError:
         return None
-    return fit.params.as_array() if fit.converged else None
+    return (sim.y_stacked, fit.params) if fit.converged else None
+
+
+def _refit_replicates(data, params, seeds, warm, ceiling, what, workers):
+    """Simulate counts at ``params`` on the design of ``data`` and refit, once per seed.
+
+    The one replicate loop of the bootstrap, the envelopes and the Monte
+    Carlo study.  Each seed draws its counts from ``simulate_responses`` and
+    they are refitted by ``em_fit``, from ``params`` if ``warm`` and from the
+    Poisson-GLM start otherwise.  Returns, in seed order, ``(y, params)`` of
+    each certified refit and None for each dropped one: a refit that raises
+    a CpbsError or does not certify.  More than ``ceiling`` of the seeds
+    dropped raises BootstrapFailureError, naming the replicates ``what``.
+    """
+    results = _util.pmap(_refit_replicate, [(data, params, ss, warm) for ss in seeds], workers)
+    dropped = sum(r is None for r in results)
+    if dropped > ceiling * len(results):
+        raise BootstrapFailureError(f"{dropped}/{len(results)} {what} failed to refit (> {ceiling:.0%} ceiling)")
+    return results
 
 
 def bootstrap_se(
@@ -614,16 +631,11 @@ def bootstrap_se(
     B = int(B)
     if B < 2:
         raise ValueError("B must be >= 2")
-    jobs = [(data, fitted.params, ss) for ss in _util.replicate_seeds(seed, B)]
-    results = _util.pmap(_bootstrap_replicate, jobs, workers)
-    kept = [r for r in results if r is not None]
+    seeds = _util.replicate_seeds(seed, B)
+    results = _refit_replicates(data, fitted.params, seeds, True, 0.1, "bootstrap replicates", workers)
+    kept = [r[1].as_array() for r in results if r is not None]
     dropped = B - len(kept)
-    if dropped > 0.1 * B:
-        raise BootstrapFailureError(
-            f"{dropped}/{B} bootstrap replicates failed to converge (> 10% ceiling)"
-        )
-    estimates = np.vstack(kept)
-    se = estimates.std(axis=0, ddof=1)
+    se = np.vstack(kept).std(axis=0, ddof=1)
     fitted.se = se
     fitted.B = B
     fitted.boot_dropped = dropped

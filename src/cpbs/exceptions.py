@@ -68,7 +68,11 @@ class MStepConvergenceError(CpbsError):
 
 
 class BootstrapFailureError(CpbsError):
-    """Too many bootstrap/envelope replicates failed to refit (> 10%)."""
+    """Too many replicates failed to refit.
+
+    The ceiling is 10% of the bootstrap or envelope replicates and 5% of the
+    Monte Carlo replications.
+    """
 
     code = "replicate-failures"
 

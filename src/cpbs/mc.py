@@ -1,9 +1,10 @@
-"""Monte Carlo study harness: repeated simulation and EM refitting.
+"""Monte Carlo study harness: repeated simulation and refitting.
 
 A study fixes one generated design (covariates are drawn once and held fixed
 across replications), simulates responses at the true parameters for each
-replication, fits by EM, and aggregates empirical means and root mean square
-errors per parameter.
+replication, fits it from the Poisson-GLM start by the certified Newton loop
+of ``em_fit``, and aggregates empirical means and root mean square errors
+per parameter.
 """
 
 from __future__ import annotations
@@ -12,11 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _util
 from .data import ModelParams
-from .estimation import em_fit
-from .exceptions import ConfigSchemaError, CpbsError
-from .simulate import CovariateColumn, default_covariate_spec, generate_design, simulate_responses
+from .estimation import _refit_replicates
+from .exceptions import ConfigSchemaError
+from .simulate import CovariateColumn, default_covariate_spec, generate_design
+
+# not called here: the refits run in cpbs.estimation, but the benchmark's
+# traced run (bench/layers.py) wraps these names in cpbs.mc too
+from .estimation import em_fit  # noqa: F401
+from .simulate import simulate_responses  # noqa: F401
 
 __all__ = ["McConfig", "McReport", "run_mc_study"]
 
@@ -93,38 +98,25 @@ class McReport:
         }
 
 
-def _mc_replicate(args):
-    design, theta, ss = args
-    rng = np.random.default_rng(ss)
-    sim = simulate_responses(design, theta, rng)
-    try:
-        fit = em_fit(sim)
-    except CpbsError:
-        return None
-    return fit.params.as_array() if fit.converged else None
-
-
 def run_mc_study(config: McConfig, workers=None) -> McReport:
     """Run one study cell; deterministic given ``config.seed``.
 
     Covariates are generated once from the config's rules and kept fixed;
     each replication redraws responses at the truth and refits.  Failed
-    replications are recorded and excluded; the study aborts if more than 5%
-    fail.
+    replications (an error, or a fit that does not certify) are counted and
+    excluded; more than 5% failed raises BootstrapFailureError.
     """
     ss = np.random.SeedSequence(config.seed)
     design_seed, *rep_seeds = ss.spawn(config.reps + 1)
     design = generate_design(
         config.q, config.n_k, np.random.default_rng(design_seed), covariates=list(config.covariates)
     )
-    jobs = [(design, config.theta_true, s) for s in rep_seeds]
-    results = _util.pmap(_mc_replicate, jobs, workers)
-    kept = [(i, r) for i, r in enumerate(results) if r is not None]
-    n_failed = config.reps - len(kept)
-    if n_failed > 0.05 * config.reps:
-        raise CpbsError(f"{n_failed}/{config.reps} Monte Carlo replications failed (> 5% ceiling)")
-    estimates = np.vstack([r for _, r in kept])
-    rep_ids = np.array([i for i, _ in kept], dtype=np.int64)
+    results = _refit_replicates(
+        design, config.theta_true, rep_seeds, False, 0.05, "Monte Carlo replications", workers
+    )
+    rep_ids = np.array([i for i, r in enumerate(results) if r is not None], dtype=np.int64)
+    estimates = np.vstack([results[i][1].as_array() for i in rep_ids])
+    n_failed = config.reps - len(rep_ids)
     truth = config.theta_true.as_array()
     mean = estimates.mean(axis=0)
     rmse = np.sqrt(np.mean((estimates - truth) ** 2, axis=0))

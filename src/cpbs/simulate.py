@@ -17,6 +17,7 @@ import numpy as np
 
 from .data import ClusteredDataset, ModelParams
 from .exceptions import ConfigSchemaError
+from .model import _means
 
 __all__ = [
     "sample_bs",
@@ -95,7 +96,8 @@ def sample_cluster(mu, phi: float, rng: np.random.Generator) -> np.ndarray:
 def simulate_responses(data: ClusteredDataset, params: ModelParams, rng: np.random.Generator) -> ClusteredDataset:
     """New dataset with the same clusters/covariates and model-simulated counts.
 
-    The means come from one product over the stacked design, checked once.
+    The means come from one product over the stacked design, checked once
+    by ``model._means`` (non-positive or non-finite means raise ValueError).
     The draws are a contract that every seeded dataset and ``content_hash``
     rest on: cluster by cluster in given order, one standard normal for the
     cluster's T ~ BS(phi), then one Poisson(mu_j T) draw per row in row
@@ -104,9 +106,7 @@ def simulate_responses(data: ClusteredDataset, params: ModelParams, rng: np.rand
     both run numpy's sampler element by element on the same stream, so the
     counts do not depend on which is taken.
     """
-    mu = np.exp(data.X_stacked @ params.beta)
-    if np.any(mu <= 0.0):
-        raise ValueError("means must be positive")
+    mu = _means(data.X_stacked, params.beta)
     return data.with_responses(_draw_counts(mu, data.offsets, params.phi, rng))
 
 

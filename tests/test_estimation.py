@@ -469,6 +469,8 @@ class TestCertification:
 
     @pytest.mark.parametrize("seed,replicate", [(1, 13), (1, 19), (5, 12)])
     def test_em_takes_a_modified_newton_step_before_an_em_step(self, seed, replicate):
+        # the name dates from the EM fallback the loop no longer has: these
+        # refits now start with a modified Newton step and take no EM step.
         # envelope replicates (m = 20) of the paper cell where neither chart
         # gives a Newton step at the start; EM steps alone took 16, 24 and
         # 61 iterations to reach the region where Newton steps take over

@@ -13,10 +13,14 @@ from cpbs import (
     bs_variance,
     cluster_log_pmf,
     compute_mu,
+    gcd_one_step,
     log_likelihood,
     model_moments,
+    pearson_residuals,
+    q_score_beta,
     simulate_dataset,
 )
+from cpbs.simulate import simulate_responses
 from conftest import S5_TRUTH, random_cluster
 from oracles import cluster_log_pmf_quad
 
@@ -67,6 +71,23 @@ class TestComputeMu:
         data = make_data([[[1.0, 1e300]]], [[0]])
         with pytest.raises(ValueError):
             compute_mu(data, ModelParams(beta=np.array([0.0, 1e10]), phi=1.0))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda data, params: simulate_responses(data, params, np.random.default_rng(0)),
+            pearson_residuals,
+            lambda data, params: gcd_one_step(data, params, np.ones(data.q)),
+            lambda data, params: q_score_beta(data, params, np.ones(data.q)),
+        ],
+        ids=["simulate_responses", "pearson_residuals", "gcd_one_step", "q_score_beta"],
+    )
+    def test_overflowing_means_raise_everywhere(self, call):
+        # every user of the log-link means refuses them where exp(x'beta) overflows
+        data = simulate_dataset(3, 4, ModelParams([1, 0.5, -0.3], 0.5), seed=1)
+        with pytest.raises(ValueError, match="non-positive or non-finite means"):
+            call(data, ModelParams(np.array([800.0, 0.0, 0.0]), 0.5))
 
 
 class TestBsDensity:
