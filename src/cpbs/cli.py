@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -103,6 +104,11 @@ def _within_cluster_index(data: ClusteredDataset) -> np.ndarray:
     return np.arange(1, data.n + 1) - data.offsets[data.cluster_index]
 
 
+def _reprs(*columns: np.ndarray):
+    """Each float column as the ``repr`` strings of its values, shortest round-trip."""
+    return [map(repr, c.tolist()) for c in columns]
+
+
 def cmd_diagnose(args) -> int:
     report = FitReport.from_json_file(args.fit)
     data = load_csv(args.data, report.spec)
@@ -123,22 +129,15 @@ def cmd_diagnose(args) -> int:
     with open(f"{args.out_dir}/residuals.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["cluster", "index", "y", "lambda_hat", "sigma2_hat", "r"])
-        for i in range(data.n):
-            w.writerow([
-                labels[i], int(idx[i]), int(y[i]),
-                repr(float(res.lambda_hat[i])), repr(float(res.sigma2_hat[i])), repr(float(res.r[i])),
-            ])
+        w.writerows(zip(labels, idx.tolist(), y.tolist(), *_reprs(res.lambda_hat, res.sigma2_hat, res.r)))
 
     bands = simulated_envelopes(data, params, m=args.envelope_m, seed=args.seed, workers=args.workers)
+    inside = (bands.lo <= bands.sorted_r) & (bands.sorted_r <= bands.hi)
     with open(f"{args.out_dir}/envelope.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["rank", "r_sorted", "lo", "hi", "inside"])
-        for i in range(data.n):
-            inside = int(bands.lo[i] <= bands.sorted_r[i] <= bands.hi[i])
-            w.writerow([
-                i + 1, repr(float(bands.sorted_r[i])),
-                repr(float(bands.lo[i])), repr(float(bands.hi[i])), inside,
-            ])
+        w.writerows(zip(range(1, data.n + 1), *_reprs(bands.sorted_r, bands.lo, bands.hi),
+                        inside.astype(int).tolist()))
         w.writerow(["coverage", repr(float(bands.coverage)), "", "", ""])
 
     delta = posterior_moments(data, params).delta
@@ -147,11 +146,9 @@ def cmd_diagnose(args) -> int:
     with open(f"{args.out_dir}/gcd.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["rank", "cluster", "index", "y", "gcd1", "a", "g"])
-        for rank, i in enumerate(order, start=1):
-            w.writerow([
-                rank, labels[i], int(idx[i]), int(y[i]),
-                repr(float(infl.gcd1[i])), repr(float(infl.a[i])), repr(float(infl.g[i])),
-            ])
+        w.writerows(zip(range(1, data.n + 1), map(labels.__getitem__, order.tolist()),
+                        idx[order].tolist(), y[order].tolist(),
+                        *_reprs(infl.gcd1[order], infl.a[order], infl.g[order])))
     return EXIT_OK
 
 
@@ -301,8 +298,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built once per process; ``parse_args`` keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -1,9 +1,13 @@
 """Data ingestion and machine-readable reports.
 
-CSV conventions: comma-delimited, UTF-8, header row, '.' decimal point.  The
-response column must hold non-negative integers; categorical covariates must
-be pre-encoded as 0/1 columns by the caller.  Rows are grouped by the cluster
-column in order of first appearance.
+CSV conventions: comma-delimited, UTF-8 (a leading byte-order mark is
+skipped), header row, '.' decimal point.  The response column must hold
+non-negative integers; categorical covariates must be pre-encoded as 0/1
+columns by the caller.  Rows are grouped by the cluster column in order of
+first appearance.  Each needed column is converted in bulk, one pass per
+column; when any cell fails, the rows are scanned in order, so an error names
+the first bad row (blank lines are not counted) and, within it, the label,
+then the response, then the covariates in spec order.
 
 Fit reports are JSON documents (schema shipped under ``cpbs/schemas/``) with
 per-coefficient estimate/SE/z/p, the dispersion estimate with SE only (no
@@ -18,6 +22,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -105,6 +110,47 @@ def _parse_real(raw: str, row_num: int, col: str) -> float:
     return value
 
 
+def _parse_rows(rows, spec: ModelSpec, i_label, i_y, i_x, width):
+    """Parse row by row, raising at the first bad row: the label, then the
+    response, then the covariates in spec order."""
+    labels, y, x = [], [], []
+    # blank lines are skipped and not counted; the header is row 1
+    for row_num, row in enumerate(rows, start=2):
+        if len(row) < width:  # a short row's missing cells read as empty
+            row = row + [""] * (width - len(row))
+        label = row[i_label].strip()
+        if label == "":
+            raise MissingValueError(f"row {row_num}: empty cluster label")
+        labels.append(label)
+        y.append(_parse_count(row[i_y], row_num, spec.response))
+        x.append([_parse_real(row[i], row_num, c) for i, c in i_x])
+    return labels, y, np.array(x, dtype=np.float64).reshape(len(rows), len(i_x))
+
+
+def _bulk_columns(rows, i_label, i_y, i_x, width):
+    """Convert each needed column in one pass, or return None if any cell fails.
+
+    ``int`` and ``float`` strip surrounding whitespace as ``_parse_count``
+    and ``_parse_real`` do, so every cell that passes here parses to the
+    same value there.
+    """
+    if min(map(len, rows)) < width:
+        return None
+    labels = list(map(str.strip, map(itemgetter(i_label), rows)))
+    if "" in labels:
+        return None
+    X = np.empty((len(rows), len(i_x)))
+    try:
+        y = list(map(int, map(itemgetter(i_y), rows)))
+        for j, (i, _) in enumerate(i_x):
+            X[:, j] = np.fromiter(map(float, map(itemgetter(i), rows)), np.float64, len(rows))
+    except ValueError:
+        return None
+    if min(y) < 0 or not np.isfinite(X).all():
+        return None
+    return labels, y, X
+
+
 def load_csv(path, spec: ModelSpec) -> ClusteredDataset:
     """Load a clustered dataset from CSV per the column mapping.
 
@@ -112,35 +158,27 @@ def load_csv(path, spec: ModelSpec) -> ClusteredDataset:
     intercept column of ones is prepended when ``spec.intercept`` is on.
     The stacked design is checked for full column rank.
     """
-    labels, y, x = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         needed = [spec.response, spec.cluster, *spec.covariates]
         missing = [c for c in needed if c not in header]
         if missing:
             raise MissingColumnError(f"missing column(s) in {path}: {', '.join(missing)}")
-        index = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
-        i_label, i_y = index[spec.cluster], index[spec.response]
-        i_x = [(index[c], c) for c in spec.covariates]
-        width = max(index[c] for c in needed) + 1
-        # blank lines are skipped and not counted; the header is row 1
-        for row_num, row in enumerate(filter(None, reader), start=2):
-            if len(row) < width:  # a short row's missing cells read as empty
-                row += [""] * (width - len(row))
-            label = row[i_label].strip()
-            if label == "":
-                raise MissingValueError(f"row {row_num}: empty cluster label")
-            labels.append(label)
-            y.append(_parse_count(row[i_y], row_num, spec.response))
-            x.append([_parse_real(row[i], row_num, c) for i, c in i_x])
-    if not labels:
+        rows = list(filter(None, reader))
+    if not rows:
         raise MissingValueError(f"no data rows in {path}")
-    X = np.array(x, dtype=np.float64).reshape(len(labels), len(i_x))
+    index = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+    i_label, i_y = index[spec.cluster], index[spec.response]
+    i_x = [(index[c], c) for c in spec.covariates]
+    width = max(index[c] for c in needed) + 1
+    labels, y, X = (_bulk_columns(rows, i_label, i_y, i_x, width)
+                    or _parse_rows(rows, spec, i_label, i_y, i_x, width))
+    del rows  # free the cells before the columns are copied
     if spec.intercept:
         X = np.column_stack([np.ones(len(labels)), X])
-    codes: dict[str, int] = {}
-    cluster = np.array([codes.setdefault(label, len(codes)) for label in labels], dtype=np.int64)
+    codes = {label: k for k, label in enumerate(dict.fromkeys(labels))}
+    cluster = np.fromiter(map(codes.__getitem__, labels), np.int64, len(labels))
     perm = np.argsort(cluster, kind="stable")
     offsets = np.concatenate([[0], np.cumsum(np.bincount(cluster))])
     data = ClusteredDataset.from_columns(list(codes), np.array(y, dtype=np.int64)[perm], X[perm], offsets)

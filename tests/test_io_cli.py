@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +12,10 @@ import pytest
 
 import jsonschema
 
-from cpbs import ModelParams, load_csv
+from cpbs import ClusteredDataset, ModelParams, load_csv
 from cpbs.cli import main as cli_main
+from cpbs.diagnostics import gcd_one_step, pearson_residuals, simulated_envelopes
+from cpbs.estimation import posterior_moments
 from cpbs.exceptions import (
     MissingColumnError,
     MissingValueError,
@@ -20,7 +24,8 @@ from cpbs.exceptions import (
 )
 from cpbs.io import FitReport, ModelSpec, write_dataset_csv
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "cpbs" / "schemas"
+SRC = Path(__file__).resolve().parents[1] / "src"
+SCHEMA_DIR = SRC / "cpbs" / "schemas"
 
 
 def write_csv(path, header, rows):
@@ -31,6 +36,49 @@ def write_csv(path, header, rows):
 
 
 SPEC = ModelSpec(response="y", cluster="region", covariates=("age", "female"))
+
+
+def reference_load_csv(path, spec):
+    """The row-by-row loader, kept as the oracle for ``load_csv``'s bulk conversion."""
+    labels, y, x = [], [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        index = {name: i for i, name in enumerate(next(reader))}
+        width = max(index[c] for c in (spec.response, spec.cluster, *spec.covariates)) + 1
+        for row in filter(None, reader):
+            row = row + [""] * (width - len(row))
+            labels.append(row[index[spec.cluster]].strip())
+            y.append(int(row[index[spec.response]].strip()))
+            x.append([float(row[index[c]].strip()) for c in spec.covariates])
+    X = np.array(x, dtype=np.float64).reshape(len(labels), len(spec.covariates))
+    if spec.intercept:
+        X = np.column_stack([np.ones(len(labels)), X])
+    codes = {}
+    cluster = np.array([codes.setdefault(label, len(codes)) for label in labels], dtype=np.int64)
+    perm = np.argsort(cluster, kind="stable")
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(cluster))])
+    return ClusteredDataset.from_columns(list(codes), np.array(y, dtype=np.int64)[perm], X[perm], offsets)
+
+
+ROWS = "a,1,0.5,0\nb,2,0.1,1\na,0,0.7,1\nc,3,0.9,0\nb,1,0.3,0\nc,0,0.2,1\n"
+HEADER = "region,y,age,female\n"
+
+# (CSV text, spec): every file loads; the bulk path must give the oracle's bits
+PARITY_CORPUS = {
+    "whitespace_padded": (HEADER + " a , 1 ,0.5 , 0\nb,\t2, 0.1,1 \n a,0 ,0.7,1\nc , 3,0.9,0\nb,1,0.3,0\nc,0,0.2,1\n",
+                          SPEC),
+    "short_rows": ("region,y,age,female,note\n" + ROWS.replace("\n", ",x\n", 2), SPEC),
+    "blank_lines": ("\n".join([HEADER, *ROWS.split("\n")[:3], "", *ROWS.split("\n")[3:]]), SPEC),
+    "quoted_labels_with_commas": (HEADER + ROWS.replace("a,", '"north, east",').replace("c,", '"s,w",'), SPEC),
+    "repeated_header_reads_last": ("region,y,age,female,age\n"
+                                   + "".join(f"{r},9\n" if i % 2 else f"{r},{i}\n"
+                                             for i, r in enumerate(ROWS.splitlines())), SPEC),
+    "numerals": (HEADER + "a,+3,1e-3,0\nb,1_000,0.1,1\na,0,7E-1,1\nc,3,1_0.5,0\nb,1,-0.3,+0\nc,0,.2,1\n", SPEC),
+    "zero_padded_labels_are_distinct": (HEADER + ROWS.replace("a,", "01,").replace("b,", "1,"), SPEC),
+    "no_intercept": (HEADER + ROWS, ModelSpec(response="y", cluster="region", covariates=("age", "female"),
+                                              intercept=False)),
+    "intercept_only": (HEADER + ROWS, ModelSpec(response="y", cluster="region", covariates=())),
+}
 
 
 class TestLoadCsv:
@@ -131,6 +179,69 @@ class TestLoadCsv:
         with pytest.raises(MissingValueError, match=r"^row 3: NaN/inf cell in column 'age'$"):
             load_csv(p, SPEC)
 
+    @pytest.mark.parametrize("case", sorted(PARITY_CORPUS))
+    def test_bulk_conversion_matches_the_row_by_row_reference(self, tmp_path, case):
+        text, spec = PARITY_CORPUS[case]
+        p = tmp_path / "d.csv"
+        p.write_text(text, encoding="utf-8", newline="")
+        got, want = load_csv(p, spec), reference_load_csv(p, spec)
+        assert got.ids == want.ids
+        assert np.array_equal(got.offsets, want.offsets)
+        assert got.y_stacked.dtype == want.y_stacked.dtype and got.y_stacked.tobytes() == want.y_stacked.tobytes()
+        assert got.X_stacked.shape == want.X_stacked.shape and got.X_stacked.tobytes() == want.X_stacked.tobytes()
+        assert got.content_hash() == want.content_hash()
+
+    def test_parity_corpus_cases_do_what_they_name(self, tmp_path):
+        def load(case):
+            text, spec = PARITY_CORPUS[case]
+            p = tmp_path / f"{case}.csv"
+            p.write_text(text, encoding="utf-8", newline="")
+            return load_csv(p, spec)
+
+        assert load("quoted_labels_with_commas").ids == ("north, east", "b", "s,w")
+        assert load("zero_padded_labels_are_distinct").ids == ("01", "1", "c")
+        assert load("repeated_header_reads_last").X_stacked[:, 1].tolist() == [0, 2, 9, 4, 9, 9]
+        assert load("numerals").y_stacked.tolist() == [3, 0, 1000, 1, 3, 0]
+        assert load("no_intercept").p == 2 and load("intercept_only").p == 1
+
+    @pytest.mark.parametrize("header, rows, error, message", [
+        # the first bad row is a label error; later rows are bad in the response and a covariate
+        (HEADER, "a,1,0.5,0\n\n,2,0.1,1\nb,-1,0.3,0\nc,1,x,1\n",
+         MissingValueError, "row 3: empty cluster label"),
+        # the first bad row is a response error; later rows are bad in the label and a covariate
+        (HEADER, "a,1,0.5,0\nb,1.5,0.1,1\n\n,1,0.3,0\nc,1,nan,1\n",
+         ResponseTypeError, "row 3: response column 'y' must hold integers (got '1.5')"),
+        (HEADER, "a,1,0.5,0\n\nb,-1,0.1,1\n,1,0.3,0\n",
+         ResponseTypeError, "row 3: response must be non-negative (got -1)"),
+        # the first bad row is a covariate error; later rows are bad in the label and the response
+        (HEADER, "a,1,0.5,0\nb,2,inf,1\n\n,1,0.3,0\nc,-2,0.1,1\n",
+         MissingValueError, "row 3: NaN/inf cell in column 'age'"),
+        (HEADER, "a,1,0.5,0\n\n\nb,2,0.1\nc,x,0.1,1\n",
+         MissingValueError, "row 3: empty cell in column 'female'"),
+        # the only bad cell in the file
+        (HEADER, "a,1,0.5,0\nb,2,0.1,1\n\t,0,0.7,1\n", MissingValueError, "row 4: empty cluster label"),
+        (HEADER, "a,1,0.5,0\nb,-3,0.1,1\n", ResponseTypeError, "row 3: response must be non-negative (got -3)"),
+        (HEADER, "a,1,0.5,0\nb,2,0.1,-inf\n", MissingValueError, "row 3: NaN/inf cell in column 'female'"),
+        (HEADER, "a,1,0.5,0\nb,2,0.1\n", MissingValueError, "row 3: empty cell in column 'female'"),
+        # one row bad in two columns: label before response before covariates, these in spec order
+        (HEADER, "a,1,0.5,0\n ,nan,0.1,1\n", MissingValueError, "row 3: empty cluster label"),
+        (HEADER, "a,1,0.5,0\nb, NaN ,x,1\n", MissingValueError, "row 3: empty/NaN value in response column 'y'"),
+        ("region,y,female,age\n", "a,1,0,0.5\nb,2,x,y\n",
+         MissingValueError, "row 3: non-numeric cell in column 'age' ('y')"),
+    ])
+    def test_errors_take_row_then_column_precedence(self, tmp_path, header, rows, error, message):
+        p = tmp_path / "d.csv"
+        p.write_text(header + rows, encoding="utf-8", newline="")
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            load_csv(p, SPEC)
+
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(HEADER + ROWS, encoding="utf-8")
+        bom.write_text(HEADER + ROWS, encoding="utf-8-sig")
+        assert bom.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert load_csv(bom, SPEC).content_hash() == load_csv(plain, SPEC).content_hash()
+
 
 class TestFitReportArithmetic:
     def make_report(self, estimates, ses, names):
@@ -225,6 +336,44 @@ def diagnose_dir(sim_csv, fit_json):
     )
     assert code == 0
     return out_dir
+
+
+def write_diagnose_csvs_by_row(out_dir, data, params, m, seed):
+    """The row-by-row writers of ``cpbs diagnose``, kept as the reference for its byte format."""
+    res = pearson_residuals(data, params)
+    ids = [str(i) for i in data.ids]
+    labels = [ids[k] for k in data.cluster_index.tolist()]
+    idx = np.arange(1, data.n + 1) - data.offsets[data.cluster_index]
+    y = data.y_stacked
+    with open(out_dir / "residuals.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["cluster", "index", "y", "lambda_hat", "sigma2_hat", "r"])
+        for i in range(data.n):
+            w.writerow([
+                labels[i], int(idx[i]), int(y[i]),
+                repr(float(res.lambda_hat[i])), repr(float(res.sigma2_hat[i])), repr(float(res.r[i])),
+            ])
+    bands = simulated_envelopes(data, params, m=m, seed=seed, workers=1)
+    with open(out_dir / "envelope.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["rank", "r_sorted", "lo", "hi", "inside"])
+        for i in range(data.n):
+            inside = int(bands.lo[i] <= bands.sorted_r[i] <= bands.hi[i])
+            w.writerow([
+                i + 1, repr(float(bands.sorted_r[i])),
+                repr(float(bands.lo[i])), repr(float(bands.hi[i])), inside,
+            ])
+        w.writerow(["coverage", repr(float(bands.coverage)), "", "", ""])
+    infl = gcd_one_step(data, params, posterior_moments(data, params).delta)
+    order = np.argsort(-infl.gcd1, kind="stable")
+    with open(out_dir / "gcd.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["rank", "cluster", "index", "y", "gcd1", "a", "g"])
+        for rank, i in enumerate(order, start=1):
+            w.writerow([
+                rank, labels[i], int(idx[i]), int(y[i]),
+                repr(float(infl.gcd1[i])), repr(float(infl.a[i])), repr(float(infl.g[i])),
+            ])
 
 
 class TestCliWorkflow:
@@ -417,6 +566,56 @@ class TestCliWorkflow:
             rows = read_csv_rows(est)
             assert len(rows) == 5 and set(rows[0]) == {"rep", "beta0", "beta1", "beta2", "phi"}
         assert outs[0] == outs[1]
+
+    def test_reused_parser_matches_fresh_processes(self, sim_csv, fit_json, capsys):
+        d, path = sim_csv
+        data_args = ["--data", str(path)]
+        fit_args = ["fit", *data_args, "--response", "y", "--cluster", "cluster", "--covariates", "x1,x2",
+                    "--boot", "0"]
+        runs = {
+            "usage": ["fit", *data_args],
+            "fit": fit_args,
+            "diagnose": ["diagnose", *data_args, "--fit", str(fit_json), "--envelope-m", "20",
+                         "--seed", "4", "--workers", "1"],
+            "direct": [*fit_args, "--method", "direct"],
+        }
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        codes = []
+        for name, argv in runs.items():  # in one process, one after another
+            if name == "diagnose":
+                dirs = [d / "reuse-in-process", d / "reuse-fresh"]
+                for out_dir in dirs:
+                    out_dir.mkdir()
+                argv_in, argv_fresh = (argv + ["--out-dir", str(out_dir)] for out_dir in dirs)
+            else:
+                argv_in = argv_fresh = argv
+            codes.append(cli_main(argv_in))
+            out, err = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "cpbs.cli", *argv_fresh], env=env, capture_output=True)
+            assert (codes[-1], out.encode(), err.encode()) == (fresh.returncode, fresh.stdout, fresh.stderr), name
+            if name == "diagnose":
+                for f in ("residuals.csv", "envelope.csv", "gcd.csv"):
+                    assert (dirs[0] / f).read_bytes() == (dirs[1] / f).read_bytes(), f
+        assert codes == [3, 0, 0, 0]
+
+    def test_diagnose_csvs_match_the_row_by_row_writer(self, tmp_path):
+        from cpbs import simulate_dataset
+
+        sim = simulate_dataset(3, 15, ModelParams(beta=np.array([1.0, -0.5, 0.4]), phi=0.5), seed=8)
+        ids = ["north, east", 'say "hi"', "south"]  # labels the CSV writer must quote
+        data = ClusteredDataset.from_columns(ids, sim.y_stacked, sim.X_stacked, sim.offsets)
+        spec = ModelSpec(response="y", cluster="cluster", covariates=("x1", "x2"))
+        path, fit, got, want = tmp_path / "d.csv", tmp_path / "fit.json", tmp_path / "got", tmp_path / "want"
+        write_dataset_csv(path, data, spec)
+        got.mkdir(), want.mkdir()
+        assert self.run_cli("fit", "--data", path, "--response", "y", "--cluster", "cluster",
+                            "--covariates", "x1,x2", "--boot", 0, "--out", fit) == 0
+        assert self.run_cli("diagnose", "--data", path, "--fit", fit, "--out-dir", got,
+                            "--envelope-m", 20, "--seed", 6, "--workers", 1) == 0
+        write_diagnose_csvs_by_row(want, load_csv(path, spec), FitReport.from_json_file(fit).params(), m=20, seed=6)
+        assert '"north, east"' in (got / "residuals.csv").read_text()
+        for f in ("residuals.csv", "envelope.csv", "gcd.csv"):
+            assert (got / f).read_bytes() == (want / f).read_bytes(), f
 
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "cli.csv"
