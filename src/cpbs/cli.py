@@ -40,7 +40,7 @@ from .exceptions import (
 )
 from .io import FitReport, ModelSpec, load_csv, write_dataset_csv
 from .mc import McConfig, run_mc_study
-from .simulate import CovariateColumn, default_covariate_spec, simulate_dataset
+from .simulate import CovariateColumn, _is_number, default_covariate_spec, simulate_dataset
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -184,7 +184,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-_MC_CONFIG_KEYS = {"q", "n_k", "reps", "seed", "beta", "phi", "covariates", "link"}
+# the study config keys, with the values a key takes when neither a flag nor the file gives it
+_MC_DEFAULTS = {"q": 7, "n_k": 300, "reps": 500, "seed": 0, "beta": [3.0, -1.25, 0.75], "phi": 0.45,
+                "covariates": [], "link": "log"}
 
 
 def _mc_config_from_file(path) -> dict:
@@ -196,34 +198,32 @@ def _mc_config_from_file(path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigSchemaError("study config must be a JSON object")
     for key in raw:
-        if key not in _MC_CONFIG_KEYS:
+        if key not in _MC_DEFAULTS:
             raise ConfigSchemaError(f"unknown study config key: {key!r}")
     return raw
 
 
 def cmd_mc(args) -> int:
-    raw = _mc_config_from_file(args.config) if args.config else {}
-    q = args.q if args.q is not None else raw.get("q", 7)
-    n_k = args.n_k if args.n_k is not None else raw.get("n_k", 300)
-    seed = args.seed if args.seed is not None else raw.get("seed", 0)
-    if args.reps is not None:
-        reps = args.reps
-    elif "reps" in raw:
-        reps = raw["reps"]
-    else:
-        reps = 5000 if args.full_scale else 500
-    beta = args.beta if args.beta is not None else raw.get("beta", [3.0, -1.25, 0.75])
-    if isinstance(beta, str):
-        beta = [float(b) for b in beta.split(",")]
-    phi = args.phi if args.phi is not None else raw.get("phi", 0.45)
-    covariates = [CovariateColumn.from_dict(d) for d in raw.get("covariates", [])] or None
+    flags = {key: getattr(args, key) for key in ("q", "n_k", "reps", "seed", "phi")}
+    if args.beta is not None:
+        flags["beta"] = [float(b) for b in args.beta.split(",")]  # a bad flag is a usage error
+    defaults = {**_MC_DEFAULTS, "reps": 5000} if args.full_scale else _MC_DEFAULTS
+    # flags over the file over the defaults
+    raw = {**defaults, **(_mc_config_from_file(args.config) if args.config else {}),
+           **{key: value for key, value in flags.items() if value is not None}}
+    if not isinstance(raw["covariates"], list):
+        raise ConfigSchemaError("study config key 'covariates' must be a JSON array")
+    if not (isinstance(raw["beta"], list) and all(map(_is_number, raw["beta"]))):
+        raise ConfigSchemaError("study config key 'beta' must be a JSON array of numbers")
+    if not _is_number(raw["phi"]):
+        raise ConfigSchemaError("study config key 'phi' must be a number")
     try:
-        theta = ModelParams(beta=np.asarray(beta, dtype=float), phi=float(phi))
+        theta = ModelParams(beta=np.asarray(raw["beta"], dtype=float), phi=raw["phi"])
     except ValueError as e:
         raise ConfigSchemaError(f"invalid theta in study config: {e}") from None
     config = McConfig(
-        q=int(q), n_k=int(n_k), theta_true=theta, reps=int(reps), seed=int(seed),
-        covariates=tuple(covariates) if covariates else (), link=raw.get("link", "log"),
+        q=raw["q"], n_k=raw["n_k"], theta_true=theta, reps=raw["reps"], seed=raw["seed"],
+        covariates=tuple(CovariateColumn.from_dict(d) for d in raw["covariates"]), link=raw["link"],
     )
     report = run_mc_study(config, workers=args.workers)
     _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True), args.out)

@@ -95,6 +95,11 @@ def pearson_residuals(data: ClusteredDataset, fitted) -> ResidualSet:
     return ResidualSet(r=r, lambda_hat=lam, sigma2_hat=sigma2)
 
 
+def _sorted_residuals(sim: ClusteredDataset, fit: FitResult) -> np.ndarray:
+    """What an envelope replicate keeps: its Pearson residuals at its refit, sorted."""
+    return np.sort(pearson_residuals(sim, fit).r)
+
+
 def simulated_envelopes(
     data: ClusteredDataset,
     fitted: FitResult,
@@ -116,8 +121,8 @@ def simulated_envelopes(
         raise ValueError("m must be >= 20")
     params = _params_of(fitted)
     seeds = _util.replicate_seeds(seed, m)
-    results = _refit_replicates(data, params, seeds, True, 0.1, "envelope replicates", workers)
-    kept = [np.sort(pearson_residuals(data.with_responses(y), refit).r) for y, refit in filter(None, results)]
+    results = _refit_replicates(data, params, seeds, _sorted_residuals, True, 0.1, "envelope replicates", workers)
+    kept = [r for r in results if r is not None]
     dropped = m - len(kept)
     sims = np.vstack(kept)
     lo = np.percentile(sims, 2.5, axis=0)

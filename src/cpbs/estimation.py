@@ -46,7 +46,7 @@ from . import _util
 from .bessel import log_bessel_k_half_scaled_table
 from .data import PHI_FLOOR, ClusteredDataset, ModelParams
 from .exceptions import BootstrapFailureError, CpbsError, MStepConvergenceError, RankDeficiencyError
-from .model import _canonical_cluster_stats, _cluster_pass, _log_brackets, _means
+from .model import _canonical_cluster_stats, _cluster_pass, _log_brackets, _means, _one_cluster
 from .simulate import simulate_responses
 
 __all__ = [
@@ -136,19 +136,11 @@ def conditional_moment(y, mu, phi: float, s: int) -> float:
     before anything is evaluated.  The shifts -2..2 come from the
     likelihood kernel; others from the recurrence table up to order y + |s|.
     """
+    y, mu, phi = _one_cluster(y, mu, phi)
     s = int(s)
     if s == 0:
         return 1.0
-    y = np.atleast_1d(np.asarray(y))
-    mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
-    if y.shape != mu.shape:
-        raise ValueError("y and mu must have matching lengths")
-    if np.any(mu <= 0.0):
-        raise ValueError("means must be positive")
-    phi = float(phi)
-    if phi <= 0.0:
-        raise ValueError(f"phi must be positive (got {phi!r})")
-    y_tot = np.asarray(y, dtype=np.int64).sum(keepdims=True)
+    y_tot = y.sum(keepdims=True)
     if abs(s) <= 2:
         return math.exp(_log_brackets(y_tot, mu.sum(keepdims=True), phi)[1][0, s + 2])
     return math.exp(_table_log_moment(int(y_tot[0]), float(mu.sum()), phi, s))
@@ -578,28 +570,34 @@ def direct_ml_fit(data: ClusteredDataset, config: EmConfig | None = None) -> Fit
     return _certified_fit(data, config, "direct")
 
 
+def _theta(sim: ClusteredDataset, fit: FitResult) -> np.ndarray:
+    """What a bootstrap or Monte Carlo replicate keeps: its estimate (beta..., phi)."""
+    return fit.params.as_array()
+
+
 def _refit_replicate(args):
-    data, params, ss, warm = args
+    data, params, ss, warm, keep = args
     sim = simulate_responses(data, params, np.random.default_rng(ss))
     try:
         fit = em_fit(sim, EmConfig(init=params) if warm else None)
     except CpbsError:
         return None
-    return (sim.y_stacked, fit.params) if fit.converged else None
+    return keep(sim, fit) if fit.converged else None
 
 
-def _refit_replicates(data, params, seeds, warm, ceiling, what, workers):
+def _refit_replicates(data, params, seeds, keep, warm, ceiling, what, workers):
     """Simulate counts at ``params`` on the design of ``data`` and refit, once per seed.
 
     The one replicate loop of the bootstrap, the envelopes and the Monte
     Carlo study.  Each seed draws its counts from ``simulate_responses`` and
     they are refitted by ``em_fit``, from ``params`` if ``warm`` and from the
-    Poisson-GLM start otherwise.  Returns, in seed order, ``(y, params)`` of
-    each certified refit and None for each dropped one: a refit that raises
-    a CpbsError or does not certify.  More than ``ceiling`` of the seeds
+    Poisson-GLM start otherwise.  Returns, in seed order, ``keep(sim, fit)``
+    (a module-level function, so a worker pickles back only that) of each
+    certified refit and None for each dropped one: a refit that raises a
+    CpbsError or does not certify.  More than ``ceiling`` of the seeds
     dropped raises BootstrapFailureError, naming the replicates ``what``.
     """
-    results = _util.pmap(_refit_replicate, [(data, params, ss, warm) for ss in seeds], workers)
+    results = _util.pmap(_refit_replicate, [(data, params, ss, warm, keep) for ss in seeds], workers)
     dropped = sum(r is None for r in results)
     if dropped > ceiling * len(results):
         raise BootstrapFailureError(f"{dropped}/{len(results)} {what} failed to refit (> {ceiling:.0%} ceiling)")
@@ -632,8 +630,8 @@ def bootstrap_se(
     if B < 2:
         raise ValueError("B must be >= 2")
     seeds = _util.replicate_seeds(seed, B)
-    results = _refit_replicates(data, fitted.params, seeds, True, 0.1, "bootstrap replicates", workers)
-    kept = [r[1].as_array() for r in results if r is not None]
+    results = _refit_replicates(data, fitted.params, seeds, _theta, True, 0.1, "bootstrap replicates", workers)
+    kept = [r for r in results if r is not None]
     dropped = B - len(kept)
     se = np.vstack(kept).std(axis=0, ddof=1)
     fitted.se = se

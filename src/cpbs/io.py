@@ -13,11 +13,15 @@ Fit reports are JSON documents (schema shipped under ``cpbs/schemas/``) with
 per-coefficient estimate/SE/z/p, the dispersion estimate with SE only (no
 z/p is reported for the dispersion), relativities exp(beta_j) for
 non-intercept coefficients, and a hash of the data so diagnostics can refuse
-to run against a different dataset than the one that was fitted.
+to run against a different dataset than the one that was fitted.  A
+``FitReport`` holds that document, laid out in one place, ``from_fit``; a
+file read back that is not JSON, or lacks a field the command line reads, is
+refused with ValueError("not a cpbs fit report: ...").
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
@@ -201,28 +205,16 @@ def _two_sided_p(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-@dataclass(frozen=True)
 class FitReport:
-    """Machine-readable summary of one fit, JSON-serializable."""
+    """One fit's report: the JSON document itself, laid out once in ``from_fit``.
 
-    spec: ModelSpec
-    coefficients: list  # dicts: name, estimate, se, z, p, relativity
-    phi: float
-    phi_se: float | None
-    loglik: float
-    n: int
-    q: int
-    cluster_sizes: list
-    cluster_ids: list
-    method: str
-    iterations: int
-    converged: bool
-    effectively_poisson: bool
-    epsilon: float
-    B: int | None
-    boot_dropped: int | None
-    seed: int | None
-    data_hash: str
+    ``to_dict`` returns a copy of the document; ``spec``, ``coefficients``,
+    ``phi_se`` and ``converged`` read the fields the command line uses.
+    """
+
+    def __init__(self, doc: dict):
+        self._doc = doc
+        self.spec = ModelSpec.from_dict(doc["model_spec"])
 
     @classmethod
     def from_fit(
@@ -248,89 +240,66 @@ class FitReport:
             if not (spec.intercept and j == 0):
                 entry["relativity"] = math.exp(est)
             coefficients.append(entry)
-        return cls(
-            spec=spec,
-            coefficients=coefficients,
-            phi=float(fit.params.phi),
-            phi_se=float(se[-1]) if se is not None else None,
-            loglik=float(fit.loglik),
-            n=data.n,
-            q=data.q,
-            cluster_sizes=[int(s) for s in data.sizes],
-            cluster_ids=[str(i) for i in data.ids],
-            method=fit.method,
-            iterations=int(fit.iterations),
-            converged=bool(fit.converged),
-            effectively_poisson=bool(fit.phi_at_floor),
-            epsilon=float(epsilon),
-            B=fit.B,
-            boot_dropped=fit.boot_dropped,
-            seed=seed,
-            data_hash=data.content_hash(),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "model_spec": self.spec.to_dict(),
-            "coefficients": self.coefficients,
-            "phi": {"estimate": self.phi, "se": self.phi_se},
-            "loglik": self.loglik,
+        return cls({
+            "model_spec": spec.to_dict(),
+            "coefficients": coefficients,
+            "phi": {"estimate": float(fit.params.phi), "se": float(se[-1]) if se is not None else None},
+            "loglik": float(fit.loglik),
             "data": {
-                "n": self.n,
-                "q": self.q,
-                "cluster_sizes": self.cluster_sizes,
-                "cluster_ids": self.cluster_ids,
-                "hash": self.data_hash,
+                "n": data.n,
+                "q": data.q,
+                "cluster_sizes": [int(s) for s in data.sizes],
+                "cluster_ids": [str(i) for i in data.ids],
+                "hash": data.content_hash(),
             },
             "convergence": {
-                "method": self.method,
-                "iterations": self.iterations,
-                "converged": self.converged,
-                "effectively_poisson": self.effectively_poisson,
-                "epsilon": self.epsilon,
+                "method": fit.method,
+                "iterations": int(fit.iterations),
+                "converged": bool(fit.converged),
+                "effectively_poisson": bool(fit.phi_at_floor),
+                "epsilon": float(epsilon),
             },
-            "bootstrap": {"B": self.B, "dropped": self.boot_dropped, "seed": self.seed},
-        }
+            "bootstrap": {"B": fit.B, "dropped": fit.boot_dropped, "seed": seed},
+        })
+
+    @property
+    def coefficients(self) -> list:
+        return self._doc["coefficients"]
+
+    @property
+    def phi_se(self) -> float | None:
+        return self._doc["phi"]["se"]
+
+    @property
+    def converged(self) -> bool:
+        return self._doc["convergence"]["converged"]
+
+    def to_dict(self) -> dict:
+        return copy.deepcopy(self._doc)
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FitReport":
-        spec = ModelSpec.from_dict(d["model_spec"])
-        return cls(
-            spec=spec,
-            coefficients=d["coefficients"],
-            phi=d["phi"]["estimate"],
-            phi_se=d["phi"]["se"],
-            loglik=d["loglik"],
-            n=d["data"]["n"],
-            q=d["data"]["q"],
-            cluster_sizes=d["data"]["cluster_sizes"],
-            cluster_ids=d["data"]["cluster_ids"],
-            method=d["convergence"]["method"],
-            iterations=d["convergence"]["iterations"],
-            converged=d["convergence"]["converged"],
-            effectively_poisson=d["convergence"]["effectively_poisson"],
-            epsilon=d["convergence"]["epsilon"],
-            B=d["bootstrap"]["B"],
-            boot_dropped=d["bootstrap"]["dropped"],
-            seed=d["bootstrap"]["seed"],
-            data_hash=d["data"]["hash"],
-        )
+        return json.dumps(self._doc, indent=indent, sort_keys=True)
 
     @classmethod
     def from_json_file(cls, path) -> "FitReport":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """Read a saved report; ValueError if it is not JSON or lacks a field the command line reads."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                report = cls(json.load(fh))
+            report.params()
+            if type(report.converged) is not bool or type(report._doc["data"]["hash"]) is not str:
+                raise TypeError("convergence.converged must be a boolean and data.hash a string")
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"not a cpbs fit report: {path} ({type(e).__name__}: {e})") from None
+        return report
 
     def params(self) -> ModelParams:
         return ModelParams(
-            beta=np.array([c["estimate"] for c in self.coefficients]), phi=self.phi
+            beta=np.array([c["estimate"] for c in self.coefficients]), phi=self._doc["phi"]["estimate"]
         )
 
     def check_matches(self, data: ClusteredDataset):
-        if data.content_hash() != self.data_hash:
+        if data.content_hash() != self._doc["data"]["hash"]:
             raise StaleFitError(
                 "data hash does not match the fit report; refusing to diagnose "
                 "against different data"

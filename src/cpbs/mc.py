@@ -9,12 +9,13 @@ per parameter.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import ModelParams
-from .estimation import _refit_replicates
+from .estimation import _refit_replicates, _theta
 from .exceptions import ConfigSchemaError
 from .simulate import CovariateColumn, default_covariate_spec, generate_design
 
@@ -39,12 +40,15 @@ class McConfig:
     link: str = "log"  # the only link the model has; kept in the report
 
     def __post_init__(self):
+        for key, least in (("q", 1), ("n_k", 1), ("reps", 1), ("seed", 0)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigSchemaError(f"{key} must be an integer (got {value!r})")
+            if value < least:
+                raise ConfigSchemaError(f"{key} must be >= {least}")
+            object.__setattr__(self, key, int(value))
         if self.link != "log":
             raise ConfigSchemaError(f"unknown link {self.link!r}; only 'log' is supported")
-        if self.q < 1 or self.n_k < 1:
-            raise ConfigSchemaError("q and n_k must be >= 1")
-        if self.reps < 1:
-            raise ConfigSchemaError("reps must be >= 1")
         cov = tuple(self.covariates) if self.covariates else tuple(default_covariate_spec())
         for c in cov:
             if not isinstance(c, CovariateColumn):
@@ -112,10 +116,10 @@ def run_mc_study(config: McConfig, workers=None) -> McReport:
         config.q, config.n_k, np.random.default_rng(design_seed), covariates=list(config.covariates)
     )
     results = _refit_replicates(
-        design, config.theta_true, rep_seeds, False, 0.05, "Monte Carlo replications", workers
+        design, config.theta_true, rep_seeds, _theta, False, 0.05, "Monte Carlo replications", workers
     )
     rep_ids = np.array([i for i, r in enumerate(results) if r is not None], dtype=np.int64)
-    estimates = np.vstack([results[i][1].as_array() for i in rep_ids])
+    estimates = np.vstack([results[i] for i in rep_ids])
     n_failed = config.reps - len(rep_ids)
     truth = config.theta_true.as_array()
     mean = estimates.mean(axis=0)

@@ -221,14 +221,11 @@ def _scaled_prefactor(mu_tot, phi: float):
     return -2.0 * mu_tot / (1.0 + sqrt_c) - _LOG_SQRT_2PI - math.log(phi)
 
 
-def cluster_log_pmf(y, mu, phi: float) -> float:
-    """Log joint probability of one cluster's counts.
+def _one_cluster(y, mu, phi):
+    """One cluster's (y, mu, phi) as int64 counts, float means and dispersion.
 
-    Parameters
-    ----------
-    y : array of non-negative ints, length n_k
-    mu : array of positive means, same length
-    phi : positive dispersion
+    ValueError unless the counts are non-negative integers, the means as many,
+    positive and finite, and phi positive and finite.
     """
     y = np.atleast_1d(np.asarray(y))
     mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
@@ -239,10 +236,21 @@ def cluster_log_pmf(y, mu, phi: float) -> float:
     if (mu <= 0.0).any() or not np.isfinite(mu).all():
         raise ValueError("means must be positive and finite")
     phi = float(phi)
-    if phi <= 0.0:
-        raise ValueError(f"phi must be positive (got {phi!r})")
+    if not 0.0 < phi < math.inf:
+        raise ValueError(f"phi must be positive and finite (got {phi!r})")
+    return y.astype(np.int64), mu, phi
 
-    y = y.astype(np.int64)
+
+def cluster_log_pmf(y, mu, phi: float) -> float:
+    """Log joint probability of one cluster's counts.
+
+    Parameters
+    ----------
+    y : array of non-negative ints, length n_k
+    mu : array of positive means, same length
+    phi : positive dispersion
+    """
+    y, mu, phi = _one_cluster(y, mu, phi)
     mu_tot = mu.sum(keepdims=True)
     prod_term = float((y * np.log(mu)).sum() - _log_factorial(y).sum())
     bracket = _log_brackets(y.sum(keepdims=True), mu_tot, phi)[0]

@@ -12,6 +12,7 @@ T and then independent Poisson(mu_j * T) counts.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -110,6 +111,19 @@ def simulate_responses(data: ClusteredDataset, params: ModelParams, rng: np.rand
     return data.with_responses(_draw_counts(mu, data.offsets, params.phi, rng))
 
 
+def _is_number(value) -> bool:
+    """A real number, as a JSON number reads: not a bool and not a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _rule_number(kind: str, kw: dict, key: str) -> float:
+    """Take ``kw[key]`` of a covariate rule, which must be present and a finite number."""
+    value = kw.pop(key, None)
+    if not _is_number(value) or not math.isfinite(value):
+        raise ConfigSchemaError(f"covariate {kind!r} requires a finite number for key {key!r}")
+    return float(value)
+
+
 class CovariateColumn:
     """Generation rule for one covariate column.
 
@@ -119,12 +133,12 @@ class CovariateColumn:
     def __init__(self, kind: str, **kw):
         self.kind = kind
         if kind == "normal":
-            self.mean = float(kw.pop("mean"))
-            self.sd = float(kw.pop("sd"))
+            self.mean = _rule_number(kind, kw, "mean")
+            self.sd = _rule_number(kind, kw, "sd")
             if self.sd <= 0:
                 raise ConfigSchemaError("covariate 'normal' requires sd > 0")
         elif kind == "bernoulli":
-            self.p = float(kw.pop("p"))
+            self.p = _rule_number(kind, kw, "p")
             if not 0.0 <= self.p <= 1.0:
                 raise ConfigSchemaError("covariate 'bernoulli' requires 0 <= p <= 1")
         else:

@@ -584,3 +584,50 @@ class TestQuasiSeparation:
         se = bootstrap_se(data, "log", fit, B=20, seed=1)
         assert np.all(np.isfinite(se)) and np.all(se > 0.0)
         assert fit.boot_dropped == 1 and fit.B == 20
+
+
+class TestOneClusterInputChecks:
+    """``conditional_moment`` refuses what ``cluster_log_pmf`` refuses."""
+
+    @pytest.mark.parametrize("y, mu, message", [
+        ([1.5], [1.0], "counts must be non-negative integers"),
+        ([-1], [1.0], "counts must be non-negative integers"),
+        ([1], [math.inf], "means must be positive and finite"),
+        ([1], [math.nan], "means must be positive and finite"),
+    ])
+    def test_both_functions_raise(self, y, mu, message):
+        from cpbs import cluster_log_pmf
+
+        with pytest.raises(ValueError, match=message):
+            cluster_log_pmf(y, mu, 0.5)
+        for s in (1, 3, -1, 0):
+            with pytest.raises(ValueError, match=message):
+                conditional_moment(y, mu, 0.5, s)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, 0.0])
+    def test_dispersion_must_be_positive_and_finite(self, phi):
+        from cpbs import cluster_log_pmf
+
+        with pytest.raises(ValueError, match="phi must be positive"):
+            cluster_log_pmf([1, 2], [1.0, 2.0], phi)
+        for s in (1, 3, 0):
+            with pytest.raises(ValueError, match="phi must be positive"):
+                conditional_moment([1, 2], [1.0, 2.0], phi, s)
+
+
+class TestMStepBetaExits:
+    def test_non_finite_start_carries_beta_init(self, s5_small):
+        beta_init = np.array([1000.0, 0.0, 0.0])
+        with pytest.raises(MStepConvergenceError, match="non-finite objective at beta_init") as info:
+            m_step_beta(s5_small, np.ones(s5_small.q), beta_init)
+        np.testing.assert_array_equal(info.value.beta_last, beta_init)
+
+    def test_max_iter_exit_carries_a_restartable_iterate(self, s5_small):
+        delta = np.ones(s5_small.q)
+        with pytest.raises(MStepConvergenceError, match="did not converge in 1 iterations") as info:
+            m_step_beta(s5_small, delta, np.zeros(3), max_iter=1)
+        beta_last = info.value.beta_last
+        assert beta_last.shape == (3,) and np.all(np.isfinite(beta_last))
+        assert not np.array_equal(beta_last, np.zeros(3))  # one Newton step was taken
+        np.testing.assert_allclose(m_step_beta(s5_small, delta, beta_last),
+                                   m_step_beta(s5_small, delta, np.zeros(3)), rtol=1e-10)

@@ -642,3 +642,153 @@ class TestRoundTripRecovery:
         se = bootstrap_se(back, "log", fit, B=60, seed=9)
         err = np.abs(fit.params.as_array() - truth.as_array())
         assert np.all(err <= 3 * se)
+
+
+class TestMalformedReport:
+    @pytest.mark.parametrize("kind", ["empty object", "array", "no data hash", "not JSON", "converged a string",
+                                      "hash a number", "no phi estimate"])
+    def test_diagnose_refuses_before_writing(self, sim_csv, fit_json, tmp_path, capsys, kind):
+        _, path = sim_csv
+        doc = json.loads(fit_json.read_text())
+        edited = {
+            "no data hash": {**doc, "data": {k: v for k, v in doc["data"].items() if k != "hash"}},
+            "converged a string": {**doc, "convergence": {**doc["convergence"], "converged": "false"}},
+            "hash a number": {**doc, "data": {**doc["data"], "hash": 0}},
+            "no phi estimate": {**doc, "phi": {"se": doc["phi"]["se"]}},
+        }
+        text = {"empty object": "{}", "array": "[1]", "not JSON": "fit"}.get(kind) or json.dumps(edited[kind])
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match="^not a cpbs fit report"):
+            FitReport.from_json_file(bad)
+        out_dir = tmp_path / "diag"
+        out_dir.mkdir()
+        capsys.readouterr()
+        code = run_cli("diagnose", "--data", path, "--fit", bad, "--out-dir", out_dir, "--envelope-m", 20)
+        assert code == 3
+        assert capsys.readouterr().err.startswith("usage error: not a cpbs fit report")
+        assert list(out_dir.iterdir()) == []
+
+    def test_to_dict_is_a_fresh_copy(self, fit_json):
+        report = FitReport.from_json_file(fit_json)
+        doc = report.to_dict()
+        doc["coefficients"][0]["estimate"] = 1e6
+        doc["data"]["hash"] = "0" * 64
+        assert report.to_dict() == json.loads(fit_json.read_text())
+        assert report.to_json() + "\n" == fit_json.read_text()
+
+
+MALFORMED_STUDY_CONFIGS = [
+    ({"q": None}, "q must be an integer"),
+    ({"q": "x"}, "q must be an integer"),
+    ({"n_k": 2.0}, "n_k must be an integer"),
+    ({"reps": 2.7}, "reps must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"phi": None}, "'phi'"),
+    ({"phi": True}, "'phi'"),
+    ({"phi": "0.5"}, "'phi'"),
+    ({"phi": math.nan}, "invalid theta"),
+    ({"beta": "3.0,-1.25,0.75"}, "'beta'"),
+    ({"beta": [True, 1, 0]}, "'beta'"),
+    ({"beta": 3}, "'beta'"),
+    ({"covariates": 3}, "'covariates'"),
+    ({"covariates": [{"kind": "bernoulli"}], "beta": [1, 0.5]}, "'p'"),
+    ({"covariates": [{"kind": "normal", "mean": 1, "sd": "a"}], "beta": [1, 0.5]}, "'sd'"),
+    ({"covariates": [{"kind": "normal", "mean": 1, "sd": math.nan}], "beta": [1, 0.5]}, "'sd'"),
+    ({"covariates": [{"kind": "normal", "mean": None, "sd": 1}], "beta": [1, 0.5]}, "'mean'"),
+]
+
+
+class TestStudyConfigs:
+    @pytest.mark.parametrize("config, message", MALFORMED_STUDY_CONFIGS,
+                             ids=[json.dumps(c) for c, _ in MALFORMED_STUDY_CONFIGS])
+    def test_malformed_config_exits_9(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "mc.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "report.json"
+        assert run_cli("mc", "--config", cfg, "--out", out) == 9
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not out.exists()
+
+    def test_malformed_covariate_spec_exits_9(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        code = run_cli("simulate", "--covariate-spec", '[{"kind":"normal","mean":1}]', "--beta", "1,2", "--out", out)
+        assert code == 9
+        assert "'sd'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_beta_flag_is_a_usage_error(self):
+        assert run_cli("mc", "--beta", "a,b,c", "--reps", 1) == 3
+
+    def test_beta_flag_matches_the_config_file(self, tmp_path):
+        flags = tmp_path / "flags.json"
+        code = run_cli("mc", "--q", 2, "--n-k", 25, "--reps", 3, "--seed", 7, "--beta", "2.5,-1.0,0.5",
+                       "--phi", 0.4, "--out", flags)
+        assert code == 0
+        for config, extra in [
+            ({"q": 2, "n_k": 25, "reps": 3, "seed": 7, "beta": [2.5, -1.0, 0.5], "phi": 0.4}, []),
+            # flags over the file
+            ({"q": 5, "n_k": 25, "reps": 3, "seed": 7, "beta": [0.0, 0.0, 0.0], "phi": 0.4},
+             ["--q", 2, "--beta", "2.5,-1.0,0.5"]),
+        ]:
+            cfg = tmp_path / "mc.json"
+            cfg.write_text(json.dumps(config))
+            out = tmp_path / "file.json"
+            assert run_cli("mc", "--config", cfg, *extra, "--out", out) == 0
+            assert out.read_bytes() == flags.read_bytes()
+
+    @pytest.mark.parametrize("argv, config, reps", [
+        (["--full-scale"], None, 5000),
+        ([], None, 500),
+        (["--full-scale", "--reps", 7], None, 7),
+        (["--full-scale"], {"reps": 9}, 9),
+    ])
+    def test_full_scale_sets_the_default_reps(self, tmp_path, monkeypatch, argv, config, reps):
+        captured = []
+
+        class Captured(Exception):
+            pass
+
+        def run_mc_study(config, workers=None):
+            captured.append(config)
+            raise Captured
+
+        monkeypatch.setattr("cpbs.cli.run_mc_study", run_mc_study)
+        if config is not None:
+            cfg = tmp_path / "mc.json"
+            cfg.write_text(json.dumps(config))
+            argv = [*argv, "--config", cfg]
+        with pytest.raises(Captured):
+            run_cli("mc", *argv)
+        assert captured[0].reps == reps
+        assert (captured[0].q, captured[0].n_k, captured[0].seed) == (7, 300, 0)
+
+
+class TestSimulateCli:
+    def test_covariate_spec_columns_and_deterministic_bytes(self, tmp_path):
+        from cpbs import simulate_dataset
+        from cpbs.simulate import CovariateColumn
+
+        rules = [{"kind": "bernoulli", "p": 0.3}, {"kind": "normal", "mean": 1.5, "sd": 0.5},
+                 {"kind": "normal", "mean": 0, "sd": 1}]
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            code = run_cli("simulate", "--q", 3, "--n-k", 10, "--seed", 5, "--beta", "0.5,0.2,-0.1,0.3",
+                           "--phi", 0.3, "--covariate-spec", json.dumps(rules), "--out", out)
+            assert code == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        rows = read_csv_rows(outs[0])
+        assert list(rows[0]) == ["cluster", "y", "x1", "x2", "x3"] and len(rows) == 30
+        params = ModelParams(beta=np.array([0.5, 0.2, -0.1, 0.3]), phi=0.3)
+        want = simulate_dataset(3, 10, params, seed=5, covariates=[CovariateColumn.from_dict(r) for r in rules])
+        got = load_csv(outs[0], ModelSpec(response="y", cluster="cluster", covariates=("x1", "x2", "x3")))
+        assert got.content_hash() == want.content_hash()
+        assert set(got.X_stacked[:, 1].tolist()) <= {0.0, 1.0}
+
+    def test_design_and_beta_mismatch_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert run_cli("simulate", "--beta", "1,2", "--out", out) == 3
+        assert "beta has 2 entries but the design has 3 columns" in capsys.readouterr().err
+        assert not out.exists()

@@ -63,3 +63,24 @@ def test_drop_ceiling(monkeypatch, s5_small, s5_small_fit, run, ceiling, over):
         if rep_ids is not None:
             assert rep_ids.tolist() == [i for i in range(N) if i not in chosen]
     assert next(calls) == N  # every replicate was refitted through the one lookup
+
+
+def test_replicates_keep_what_the_written_out_loop_gives(s5_small, s5_small_fit):
+    # each replicate simulates counts at the fit, refits them from the fit and,
+    # if the refit certifies, contributes what its caller keeps of it
+    from cpbs import EmConfig, _util, em_fit, pearson_residuals
+    from cpbs.simulate import simulate_responses
+
+    params = s5_small_fit.params
+    refits = []
+    for ss in _util.replicate_seeds(3, N):
+        sim = simulate_responses(s5_small, params, np.random.default_rng(ss))
+        fit = em_fit(sim, EmConfig(init=params))
+        if fit.converged:
+            refits.append((sim, fit))
+    sims = np.vstack([np.sort(pearson_residuals(sim, fit).r) for sim, fit in refits])
+    bands = simulated_envelopes(s5_small, s5_small_fit, m=N, seed=3, workers=1)
+    np.testing.assert_array_equal(bands.lo, np.percentile(sims, 2.5, axis=0))
+    np.testing.assert_array_equal(bands.hi, np.percentile(sims, 97.5, axis=0))
+    se = bootstrap_se(s5_small, "log", dataclasses.replace(s5_small_fit), B=N, seed=3, workers=1)
+    np.testing.assert_array_equal(se, np.vstack([fit.params.as_array() for _, fit in refits]).std(axis=0, ddof=1))
