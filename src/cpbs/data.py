@@ -155,9 +155,12 @@ class _CanonicalView:
     ``sizes`` delimit clusters in canonical cluster order (sorted by id), and
     ``cluster_order[i]`` is the given index of the i-th canonical cluster.
     ``y_tot`` and ``lgamma`` hold each canonical cluster's count total and
-    sum of log(y!), which depend on the counts alone.  ``starts``, ``sizes``
-    and ``cluster_order`` come from the dataset's ``_Design``, and are the
-    same arrays in every dataset that shares it.
+    sum of log(y!), which depend on the counts alone, and so does
+    ``kernel``, the Bessel kernel's layout of ``y_tot``, built on first
+    use.  ``starts``, ``sizes`` and ``cluster_order`` come from the
+    dataset's ``_Design``, and are the same arrays in every dataset that
+    shares it.  ``X_t`` is ``X`` transposed into C order, for sums over the
+    rows of each cluster.
     """
 
     y: np.ndarray
@@ -168,6 +171,16 @@ class _CanonicalView:
     cluster_order: np.ndarray
     y_tot: np.ndarray
     lgamma: np.ndarray
+
+    @cached_property
+    def kernel(self):
+        from .model import _KernelLayout  # model imports this module
+
+        return _KernelLayout(self.y_tot)
+
+    @cached_property
+    def X_t(self) -> np.ndarray:
+        return np.ascontiguousarray(self.X.T)
 
 
 class ClusteredDataset:

@@ -328,19 +328,25 @@ class _Pass:
     """The log-likelihood, exact score and observed Hessian at one iterate.
 
     Score and Hessian are in (beta, phi); delta and gamma are the posterior
-    moments E(T | y) and E(1/T | y) in canonical cluster order.
+    moments E(T | y) and E(1/T | y) in canonical cluster order.  A pass
+    formed for its log-likelihood alone carries None for the other four.
     """
 
     params: ModelParams
     loglik: float
-    score: np.ndarray
-    hessian: np.ndarray
-    delta: np.ndarray
-    gamma: np.ndarray
+    score: np.ndarray | None = None
+    hessian: np.ndarray | None = None
+    delta: np.ndarray | None = None
+    gamma: np.ndarray | None = None
 
 
 def _louis_pass(data: ClusteredDataset, params: ModelParams) -> _Pass:
-    """One Bessel pass at shifts -2..2: the log-likelihood, exact score and Hessian.
+    """One Bessel pass at shifts -2..2: the log-likelihood, exact score and Hessian."""
+    return _louis(data, params, *_cluster_pass(data, params))
+
+
+def _louis(data: ClusteredDataset, params: ModelParams, ll: float, logm, mu, m) -> _Pass:
+    """The ``_Pass`` at ``params``, given its ``_cluster_pass`` (ll, logm, mu, m).
 
     With s_k = sum_j mu_kj x_kj and A = T + 1/T - 2, Louis' identity gives the
     observed Hessian as the posterior mean of the complete-data Hessian plus
@@ -371,8 +377,8 @@ def _louis_pass(data: ClusteredDataset, params: ModelParams) -> _Pass:
     (phi^2 M_k)^2 for the expansion.  So each cluster takes the form with
     the smaller error: the expansion for its score term where
     phi^8 M_k^3 <= e, and for its Hessian terms where phi^10 M_k^3 <= e.
+    The expansion's arrays are formed only when some cluster takes it.
     """
-    ll, logm, mu, m = _cluster_pass(data, params)
     lm_m2, lm_m1, _, lm_1, lm_2 = logm.T
     canon = data.canonical
     X = canon.X
@@ -386,23 +392,29 @@ def _louis_pass(data: ClusteredDataset, params: ModelParams) -> _Pass:
     cov_ta = var_t + cov_t_inv
 
     w = np.repeat(delta, canon.sizes) * mu
-    s = np.add.reduceat(X * mu[:, None], canon.starts, axis=0)
-    r = canon.y_tot - m
+    s = np.ascontiguousarray(np.add.reduceat(canon.X_t * mu, canon.starts, axis=1).T)
     # the expansion may overflow where the means are huge; it is not taken there
     with np.errstate(over="ignore", invalid="ignore"):
-        b = 0.5 * (r * r - m)
-        c = 0.25 * m * m - 0.5 * m * r - (0.5 * m + 0.125) * r * r
-        db_dm = -(r + 0.5)
-        dc_dm = m + (m - 0.25) * r - 0.5 * r * r
         m3 = m**3
-        series = phi**8 * m3 <= _MOMENT_ROUNDING
-        g_phi = np.where(series, 2.0 * phi * b + 4.0 * phi**3 * c, (e_a - phi * phi) / phi**3)
+        score_series = phi**8 * m3 <= _MOMENT_ROUNDING
+        g_phi = (e_a - phi * phi) / phi**3
         series = phi**10 * m3 <= _MOMENT_ROUNDING
-        h_bp = np.where(series, 2.0 * phi * db_dm + 4.0 * phi**3 * dc_dm, -cov_ta / phi**3)
-        h_pp = np.where(series, 2.0 * b + 12.0 * phi**2 * c, 1.0 / phi**2 - 3.0 * e_a / phi**4 + var_a / phi**6)
+        h_bp = -cov_ta / phi**3
+        h_pp = 1.0 / phi**2 - 3.0 * e_a / phi**4 + var_a / phi**6
+        if score_series.any() or series.any():
+            r = canon.y_tot - m
+            b = 0.5 * (r * r - m)
+            c = 0.25 * m * m - 0.5 * m * r - (0.5 * m + 0.125) * r * r
+            db_dm = -(r + 0.5)
+            dc_dm = m + (m - 0.25) * r - 0.5 * r * r
+            g_phi = np.where(score_series, 2.0 * phi * b + 4.0 * phi**3 * c, g_phi)
+            h_bp = np.where(series, 2.0 * phi * db_dm + 4.0 * phi**3 * dc_dm, h_bp)
+            h_pp = np.where(series, 2.0 * b + 12.0 * phi**2 * c, h_pp)
 
     p = data.p
-    score = np.append(X.T @ (canon.y - w), float(np.sum(g_phi)))
+    score = np.empty(p + 1)
+    score[:p] = X.T @ (canon.y - w)
+    score[p] = float(np.sum(g_phi))
     hessian = np.empty((p + 1, p + 1))
     hessian[:p, :p] = s.T @ (s * var_t[:, None]) - X.T @ (X * w[:, None])
     hessian[:p, p] = hessian[p, :p] = s.T @ h_bp
@@ -416,9 +428,10 @@ def _newton_step(score: np.ndarray, hessian: np.ndarray, free: np.ndarray):
     None when the free block of the Hessian is not negative definite.  The
     decrement g'(-H)^-1 g is twice the gain the local quadratic predicts.
     """
+    free = slice(None) if free.all() else free  # a slice indexes without copying
     g = score[free]
     try:
-        chol = np.linalg.cholesky(-hessian[np.ix_(free, free)])
+        chol = np.linalg.cholesky(-hessian[free][:, free])
     except np.linalg.LinAlgError:
         return None
     step = np.zeros_like(score)
@@ -441,12 +454,16 @@ def _psi_chart(cur: _Pass):
     return g, h
 
 
-def _try_step(data: ClusteredDataset, cur: _Pass, step: np.ndarray, psi: bool, halvings: int, strict=False):
+def _try_step(data: ClusteredDataset, cur: _Pass, step: np.ndarray, psi: bool, halvings: int, strict=False,
+              louis=True):
     """The pass at the first of step, step/2, ... where the log-likelihood does not fall.
 
     The last coordinate of ``step`` moves phi, or psi = phi^2 if ``psi``, and
     the dispersion is projected onto phi >= PHI_FLOOR; with ``strict`` a tie
-    counts as a fall.  None if every trial falls or leaves the model's domain.
+    counts as a fall.  A trial is judged on its log-likelihood alone: the
+    score and Hessian are formed only for the trial returned, and only if
+    ``louis``.  None if every trial falls or leaves the model's domain,
+    where a domain error in that score or Hessian fails the trial too.
     """
     beta, phi = cur.params.beta, cur.params.phi
     for _ in range(halvings + 1):
@@ -455,11 +472,12 @@ def _try_step(data: ClusteredDataset, cur: _Pass, step: np.ndarray, psi: bool, h
         else:
             phi_new = max(phi + step[-1], PHI_FLOOR)
         try:
-            trial = _louis_pass(data, ModelParams(beta=beta + step[:-1], phi=phi_new))
+            params = ModelParams(beta=beta + step[:-1], phi=phi_new)
+            ll, *moments = _cluster_pass(data, params)
+            if ll > cur.loglik if strict else ll >= cur.loglik:
+                return _louis(data, params, ll, *moments) if louis else _Pass(params, ll)
         except (ValueError, OverflowError, FloatingPointError):
-            trial = None
-        if trial is not None and (trial.loglik > cur.loglik if strict else trial.loglik >= cur.loglik):
-            return trial
+            pass
         step = 0.5 * step
     return None
 
@@ -486,9 +504,10 @@ def _modified_newton_step(data: ClusteredDataset, cur: _Pass, free: np.ndarray):
 def _certified_fit(data: ClusteredDataset, config: EmConfig | None, method: str) -> FitResult:
     """The guarded Newton loop on the exact observed information that both fits run.
 
-    The loop starts at ``config.init``.  Each iteration makes one Bessel pass
-    at the iterate, which gives the log-likelihood, the exact score and the
-    Louis Hessian in (beta, phi).  The free coordinates are (beta, phi), or
+    The loop starts at ``config.init``.  Each trial point costs one Bessel
+    pass, which gives its log-likelihood; the exact score and the Louis
+    Hessian in (beta, phi) are formed from that pass only for the iterate
+    the loop moves to.  The free coordinates are (beta, phi), or
     beta alone when phi sits at PHI_FLOOR with a non-positive dispersion
     slope (the KKT condition of the bound).  If the free Hessian is negative
     definite, the iteration takes the Newton step, projected onto
@@ -501,9 +520,9 @@ def _certified_fit(data: ClusteredDataset, config: EmConfig | None, method: str)
     The fit is certified, and ``converged`` set, when the free Hessian is
     negative definite and the Newton decrement g'(-H)^-1 g is at most
     ``config.epsilon``; that last Newton step is then taken if the
-    log-likelihood does not fall.  After ``config.max_iter`` iterations
-    without a certificate, or when the modified Newton step finds no rise,
-    non-convergence is flagged.  The observed log-likelihood is recorded at
+    log-likelihood does not fall, and no score or Hessian is formed there.
+    After ``config.max_iter`` iterations without a certificate, or when the
+    modified Newton step finds no rise, non-convergence is flagged.  The observed log-likelihood is recorded at
     every iterate, plus once at the returned estimate, and is non-decreasing
     along the path.  ``method`` only labels the result.
     """
@@ -528,7 +547,7 @@ def _certified_fit(data: ClusteredDataset, config: EmConfig | None, method: str)
             step, decrement = newton
             if decrement <= config.epsilon:
                 converged = True
-                cur = _try_step(data, cur, step, psi, halvings=0) or cur
+                cur = _try_step(data, cur, step, psi, halvings=0, louis=False) or cur
                 break
             nxt = _try_step(data, cur, step, psi, halvings=_MAX_HALVINGS)
             if nxt is not None:

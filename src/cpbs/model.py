@@ -31,7 +31,13 @@ out in one flat array with one segment per cluster, then four forward
 recurrence steps across clusters.  The work is numpy arithmetic on the sum
 of the cluster totals, whatever the number of clusters; clusters go through
 in blocks of a fixed number of terms, so memory grows with the largest
-cluster total, not with their sum.
+cluster total, not with their sum.  What depends on the totals alone (the
+anchor orders, the series' segments and term factors, the table rows each
+shift reads) is laid out once per dataset, in the ``_KernelLayout`` that
+its canonical view caches, and each pass divides by its own arguments.  A
+dataset whose terms fit in one block keeps those per-term arrays between
+passes; a larger one keeps only the cuts between its blocks, so the bound
+on memory holds.
 """
 
 from __future__ import annotations
@@ -61,15 +67,17 @@ _LOG_HALF_PI = math.log(math.pi / 2.0)
 
 
 def _means(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Log-link means exp(X beta), refusing non-finite or non-positive values."""
+    """Log-link means exp(X beta), refusing non-finite or non-positive values.
+
+    A NaN or infinite X beta is named as such; a finite one whose exp
+    overflows or underflows gives non-positive or non-finite means.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         eta = X @ beta
-    if not np.all(np.isfinite(eta)):
-        raise ValueError("non-finite linear predictor")
-    with np.errstate(over="ignore"):
         mu = np.exp(eta)
-    if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
-        raise ValueError("non-positive or non-finite means")
+    if not (mu.min() > 0.0 and mu.max() < math.inf):
+        finite = np.isfinite(eta).all()
+        raise ValueError("non-positive or non-finite means" if finite else "non-finite linear predictor")
     return mu
 
 
@@ -84,8 +92,8 @@ def compute_mu(data: ClusteredDataset, params: ModelParams) -> np.ndarray:
 def bs_log_density(t, phi: float):
     """Log density of the unit-scale Birnbaum-Saunders law with shape phi."""
     phi = float(phi)
-    if phi <= 0.0:
-        raise ValueError(f"phi must be positive (got {phi!r})")
+    if not 0.0 < phi < math.inf:
+        raise ValueError(f"phi must be positive and finite (got {phi!r})")
     t = np.asarray(t, dtype=np.float64)
     if np.any(t <= 0.0):
         raise ValueError("t must be positive")
@@ -125,21 +133,70 @@ _ROWS = np.abs(2 * _ORDER_OFFSETS + 2 * np.arange(4) - 5) // 2
 _BLOCK_TERMS = 1 << 16
 
 
-def _log_k_table(lo: np.ndarray, x: np.ndarray):
-    """``_log_k_block`` over blocks of consecutive clusters, joined."""
-    ends = (lo + 1).cumsum()
-    if ends[-1] < _BLOCK_TERMS:  # one block, without the search for cuts
-        return _log_k_block(lo, x)
-    cuts = np.flatnonzero(np.diff(ends // _BLOCK_TERMS)) + 1
-    blocks = [_log_k_block(lo_b, x_b) for lo_b, x_b in zip(np.split(lo, cuts), np.split(x, cuts))]
-    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks], axis=1)
+class _SeriesTerms:
+    """The finite series' terms of a block of clusters, laid out as ``_log_k_block`` reads them.
+
+    For anchor orders ``lo`` (one per cluster), the terms i = 0..lo_k of each
+    cluster form one segment of a flat array.  Everything here depends on
+    the orders alone: the segment ``size``s and ``starts``, the index
+    ``last`` of each segment's last term, and per term the numerator
+    (n+i)(n+1-i) and denominator factor i of log(a_i / a_(i-1)) (both 1 at
+    segment starts, whose value is overwritten), n+1-i and n+1+i (exact
+    integers), and per cluster the ratio numerators 2 lo + 2j - 1, j = 0..5.
+    """
+
+    def __init__(self, lo: np.ndarray):
+        self.size = size = lo + 1
+        self.starts = starts = size.cumsum() - size
+        self.last = starts + lo
+        n = lo.astype(np.float64).repeat(size)
+        i = (np.arange(n.shape[0]) - starts.repeat(size)).astype(np.float64)
+        self.n1_minus_i = n + 1.0 - i
+        self.n1_plus_i = n + 1.0 + i
+        self.step_num = (n + i) * self.n1_minus_i
+        self.step_num[starts] = 1.0
+        i[starts] = 1.0
+        self.i = i
+        self.ratio_num = 2.0 * lo + (2.0 * _ORDER_OFFSETS - 1.0)
 
 
-def _log_k_block(lo: np.ndarray, x: np.ndarray):
+class _KernelLayout:
+    """What the Bessel kernel derives from a dataset's cluster count totals.
+
+    Built once per set of totals (``_CanonicalView.kernel`` caches it with a
+    dataset's counts): the anchor orders ``lo`` = max(y_tot - 3, 0), the
+    table ``rows`` each order reads, ``half_y`` = 0.5 y_tot, and the series
+    ``terms``.  The terms are kept only when they all fit in one block of
+    ``_BLOCK_TERMS``; over that, ``terms`` is None, only the ``cuts``
+    between blocks are kept, and each pass lays out one block's terms at a
+    time, so the memory stays bounded by a block.
+    """
+
+    def __init__(self, y_tot: np.ndarray):
+        self.lo = lo = np.maximum(y_tot - 3, 0)
+        self.half_y = 0.5 * y_tot
+        self.rows = (_ROWS[:, np.minimum(y_tot, 3)], np.arange(y_tot.shape[0]))
+        ends = (lo + 1).cumsum()
+        if ends[-1] < _BLOCK_TERMS:  # one block, without the search for cuts
+            self.terms, self.cuts = _SeriesTerms(lo), None
+        else:
+            self.terms, self.cuts = None, np.flatnonzero(np.diff(ends // _BLOCK_TERMS)) + 1
+
+    def log_k(self, x: np.ndarray):
+        """``_log_k_block`` over the blocks of consecutive clusters, joined."""
+        if self.terms is not None:
+            return _log_k_block(self.terms, x)
+        pieces = zip(np.split(self.lo, self.cuts), np.split(x, self.cuts))
+        blocks = [_log_k_block(_SeriesTerms(lo_b), x_b) for lo_b, x_b in pieces]
+        return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks], axis=1)
+
+
+def _log_k_block(terms: _SeriesTerms, x: np.ndarray):
     """Scaled log Bessel K at six consecutive half-integer orders per cluster.
 
     Returns ``(log_k, d)``: log_k[k] = log K~_(lo_k+1/2)(x_k), and the 6 x q
-    array d[j, k] = log K~_(lo_k+j+1/2)(x_k) - log_k[k], j = 0..5.
+    array d[j, k] = log K~_(lo_k+j+1/2)(x_k) - log_k[k], j = 0..5, for the
+    anchor orders lo of ``terms``.
 
     Order n = lo_k + 1/2 comes from the finite series (DLMF 10.49.12)
 
@@ -152,20 +209,17 @@ def _log_k_block(lo: np.ndarray, x: np.ndarray):
     at n = 5000).  The terms of every cluster lie in one flat array, one
     segment per cluster, so the work is O(sum_k lo_k) numpy arithmetic
     whatever the number of clusters, and the memory O(sum_k lo_k) within
-    one block; each segment's running sum restarts near zero.  The next order's terms are a_i (n+1+i)/(n+1-i), plus
-    a_n (2n+1)/x, so the ratio of the two orders is a ratio of sums of the
-    same terms, in which their rounding cancels.  The forward recurrence
+    one block; each segment's running sum restarts near zero.  Everything
+    but x is laid out once, in ``terms``; a pass divides by its own x.  The
+    next order's terms are a_i (n+1+i)/(n+1-i), plus a_n (2n+1)/x, so the
+    ratio of the two orders is a ratio of sums of the same terms, in which
+    their rounding cancels.  The forward recurrence
     K_(lam+1) = K_(lam-1) + (2 lam / x) K_lam, stable in the direction of
     increasing order, carries those ratios four orders further, vectorized
     across clusters.
     """
-    size = lo + 1
-    starts = size.cumsum() - size
-    n = lo.astype(np.float64).repeat(size)
-    i = np.arange(n.shape[0]) - starts.repeat(size)
-    n1_minus_i = n + 1.0 - i
-    with np.errstate(divide="ignore", invalid="ignore"):  # i = 0, overwritten below
-        step = np.log((n + i) * n1_minus_i / ((2.0 * x).repeat(size) * i))
+    size, starts = terms.size, terms.starts
+    step = np.log(terms.step_num / ((2.0 * x).repeat(size) * terms.i))
     step[starts] = 0.0
     step[starts[1:]] = -np.add.reduceat(step, starts)[:-1]
     log_a = step.cumsum()
@@ -173,14 +227,35 @@ def _log_k_block(lo: np.ndarray, x: np.ndarray):
     peak = np.maximum.reduceat(log_a, starts)
     w = np.exp(log_a - peak.repeat(size))
     s0 = np.add.reduceat(w, starts)
-    s1 = np.add.reduceat(w * (2.0 * n + 2.0 - n1_minus_i) / n1_minus_i, starts)
+    s1 = np.add.reduceat(w * terms.n1_plus_i / terms.n1_minus_i, starts)
     # ratios K_(lo+j+1/2) / K_(lo+j-1/2): r_j = 2 (lo + j - 1/2) / x + 1 / r_(j-1)
-    ratio = (2.0 * lo + (2.0 * _ORDER_OFFSETS - 1.0)) / x
+    ratio = terms.ratio_num / x
     ratio[0] = 1.0
-    ratio[1] = (s1 + w[starts + lo] * ratio[1]) / s0
+    ratio[1] = (s1 + w[terms.last] * ratio[1]) / s0
     for j in range(2, 6):
         ratio[j] += 1.0 / ratio[j - 1]
     return 0.5 * (_LOG_HALF_PI - np.log(x)) + peak + np.log(s0), np.log(ratio).cumsum(axis=0)
+
+
+def _kernel_pass(layout: _KernelLayout, mu_tot: np.ndarray, phi: float):
+    """Per cluster, the scaled prefactor, the bracket B(0) and the log moments.
+
+    Returns ``(prefactor, b0, logm)``, with ``b0`` and ``logm`` as
+    ``_log_brackets`` returns them.  ``prefactor`` is
+    log[e^(1/phi^2) / (sqrt(2 pi) phi)] less the w by which the bracket is
+    scaled; it shares sqrt(c) with the bracket.
+    """
+    phi2 = phi * phi
+    c_minus_1 = 2.0 * phi2 * mu_tot
+    sqrt_c = np.sqrt(1.0 + c_minus_1)
+    log_c = np.log1p(c_minus_1)
+    log_k, d = layout.log_k(sqrt_c / phi2)
+    orders = d[layout.rows] + _C_POWERS * log_c
+    shifted = np.logaddexp(orders[1:], orders[:5])
+    b0 = log_k - layout.half_y * log_c + shifted[2]
+    # 1/phi^2 - w = -2 mu_tot / (1 + sqrt(c)), formed without cancellation
+    prefactor = -2.0 * mu_tot / (1.0 + sqrt_c) - _LOG_SQRT_2PI - math.log(phi)
+    return prefactor, b0, (shifted - shifted[2]).T
 
 
 def _log_brackets(y_tot: np.ndarray, mu_tot: np.ndarray, phi: float):
@@ -200,25 +275,10 @@ def _log_brackets(y_tot: np.ndarray, mu_tot: np.ndarray, phi: float):
     every pass.  The moments are formed from the table's differences and
     the shift parts of the c powers only, so the large common parts,
     log K~ at the anchor and -y_tot log(c) / 2, cancel before any rounding.
+    This builds the totals' ``_KernelLayout`` for the one call; a dataset
+    keeps its own in ``canonical.kernel``.
     """
-    phi2 = phi * phi
-    c_minus_1 = 2.0 * phi2 * mu_tot
-    lo = np.maximum(y_tot - 3, 0)
-    log_c = np.log1p(c_minus_1)
-    log_k, d = _log_k_table(lo, np.sqrt(1.0 + c_minus_1) / phi2)
-    orders = d[_ROWS[:, np.minimum(y_tot, 3)], np.arange(d.shape[1])] + _C_POWERS * log_c
-    shifted = np.logaddexp(orders[1:], orders[:5])
-    b0 = log_k - 0.5 * y_tot * log_c + shifted[2]
-    return b0, (shifted - shifted[2]).T
-
-
-def _scaled_prefactor(mu_tot, phi: float):
-    """log e^(1/phi^2) + log e^(-w) = -2 mu_tot / (1 + sqrt(1 + 2 phi^2 mu_tot)).
-
-    Computed without cancellation; pairs with the e^w-scaled bracket.
-    """
-    sqrt_c = np.sqrt(1.0 + 2.0 * phi * phi * mu_tot)
-    return -2.0 * mu_tot / (1.0 + sqrt_c) - _LOG_SQRT_2PI - math.log(phi)
+    return _kernel_pass(_KernelLayout(y_tot), mu_tot, phi)[1:]
 
 
 def _one_cluster(y, mu, phi):
@@ -251,10 +311,9 @@ def cluster_log_pmf(y, mu, phi: float) -> float:
     phi : positive dispersion
     """
     y, mu, phi = _one_cluster(y, mu, phi)
-    mu_tot = mu.sum(keepdims=True)
     prod_term = float((y * np.log(mu)).sum() - _log_factorial(y).sum())
-    bracket = _log_brackets(y.sum(keepdims=True), mu_tot, phi)[0]
-    return float(_scaled_prefactor(mu_tot[0], phi)) + prod_term + float(bracket[0])
+    prefactor, bracket, _ = _kernel_pass(_KernelLayout(y.sum(keepdims=True)), mu.sum(keepdims=True), phi)
+    return float(prefactor[0]) + prod_term + float(bracket[0])
 
 
 def _canonical_cluster_stats(data: ClusteredDataset, params: ModelParams):
@@ -281,8 +340,8 @@ def _cluster_pass(data: ClusteredDataset, params: ModelParams):
     """
     canon = data.canonical
     mu, mu_tot, ylogmu = _canonical_cluster_stats(data, params)
-    b0, logm = _log_brackets(canon.y_tot, mu_tot, params.phi)
-    parts = _scaled_prefactor(mu_tot, params.phi) + ylogmu - canon.lgamma + b0
+    prefactor, b0, logm = _kernel_pass(canon.kernel, mu_tot, params.phi)
+    parts = prefactor + ylogmu - canon.lgamma + b0
     return math.fsum(parts.tolist()), logm, mu, mu_tot
 
 

@@ -33,8 +33,8 @@ __all__ = [
 
 def _positive_phi(phi) -> float:
     phi = float(phi)
-    if phi <= 0.0:
-        raise ValueError(f"phi must be positive (got {phi!r})")
+    if not 0.0 < phi < math.inf:
+        raise ValueError(f"phi must be positive and finite (got {phi!r})")
     return phi
 
 

@@ -4,7 +4,9 @@ Everything here evaluates the defining integrals directly with adaptive
 quadrature (relative tolerance 1e-12), never through the package's Bessel or
 pmf code paths.  The integration variable is substituted t = e^u throughout
 to tame both endpoints, and the integrand is rescaled by its scanned maximum
-so the quadrature runs in a safe floating-point range.
+so the quadrature runs in a safe floating-point range.  Each log-integrand
+takes a number or a numpy array of points, so the scan for that maximum is
+one numpy evaluation over its grid.
 """
 
 import math
@@ -18,7 +20,7 @@ QUAD_OPTS = dict(limit=400, epsabs=0.0, epsrel=1e-12)
 
 def _scaled_quad(log_f, lo, hi, n_scan=4001):
     grid = np.linspace(lo, hi, n_scan)
-    logs = np.array([log_f(v) for v in grid])
+    logs = log_f(grid)
     i = int(np.argmax(logs))
     m = float(logs[i])
     peak = float(grid[i])
@@ -36,7 +38,7 @@ def log_bessel_k_quad(lam: float, x: float) -> float:
     lam = abs(lam)
 
     def log_f(v):
-        return lam * v + math.log1p(math.exp(-2.0 * lam * v)) - math.log(2.0) - x * math.cosh(v)
+        return lam * v + np.log1p(np.exp(-2.0 * lam * v)) - math.log(2.0) - x * np.cosh(v)
 
     return _scaled_quad(log_f, 0.0, 60.0)
 
@@ -52,11 +54,13 @@ def bs_log_density_ref(t, phi):
 
 def _log_mixture_integrand(u, y, mu, phi, s=0):
     """log of t^s prod_j Poisson(y_j; mu_j t) f_BS(t; phi) * t, at t = e^u."""
-    t = math.exp(u)
+    u = np.asarray(u, dtype=float)
+    t = np.exp(u)
     y = np.asarray(y)
     mu = np.asarray(mu, dtype=float)
-    pois = float(np.sum(-mu * t + y * np.log(mu * t) - gammaln(y + 1.0)))
-    return s * u + pois + float(bs_log_density_ref(t, phi)) + u  # + u: Jacobian
+    mu_t = mu * t[..., None]
+    pois = np.sum(-mu_t + y * np.log(mu_t) - gammaln(y + 1.0), axis=-1)
+    return s * u + pois + bs_log_density_ref(t, phi) + u  # + u: Jacobian
 
 
 def log_mixture_integral_quad(y, mu, phi, s=0) -> float:
@@ -80,7 +84,7 @@ def gig_log_normalizer_quad(a, b, alpha) -> float:
     """log int_0^inf z^(alpha-1) exp(-(a z + b / z) / 2) dz via z = e^u."""
 
     def log_f(u):
-        z = math.exp(u)
+        z = np.exp(u)
         return alpha * u - 0.5 * (a * z + b / z)
 
     return _scaled_quad(log_f, -60.0, 60.0)

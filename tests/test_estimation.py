@@ -631,3 +631,16 @@ class TestMStepBetaExits:
         assert not np.array_equal(beta_last, np.zeros(3))  # one Newton step was taken
         np.testing.assert_allclose(m_step_beta(s5_small, delta, beta_last),
                                    m_step_beta(s5_small, delta, np.zeros(3)), rtol=1e-10)
+
+
+def test_certified_fits_report_the_loglik_of_their_estimate():
+    # the step taken after certification forms only the log-likelihood; it
+    # must be the log-likelihood of the estimate returned, to the bit
+    paper, heavy = np.array([3.0, -1.25, 0.75]), np.array([5.0, -1.25, 0.75])
+    datasets = [simulate_dataset(7, 300, ModelParams(paper, 0.45), seed=s) for s in range(1, 9)]
+    datasets.append(simulate_dataset(1000, 5, ModelParams(paper, 0.45), seed=1))
+    datasets += [simulate_dataset(7, 300, ModelParams(heavy, 0.45), seed=s) for s in (3, 4, 5)]
+    for data in datasets:
+        fit = em_fit(data)
+        assert fit.converged
+        assert fit.loglik == log_likelihood(data, fit.params) == fit.loglik_trace[-1]

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpbs.bessel import log_bessel_k_half_scaled_table
-from cpbs.data import PHI_FLOOR
-from cpbs import model
+from cpbs.data import PHI_FLOOR, ClusteredDataset, ModelParams
+from cpbs import model, simulate_dataset
+from cpbs.estimation import _louis_pass
 from cpbs.model import _log_brackets
 
 EPS = np.finfo(float).eps
@@ -141,3 +142,63 @@ def test_blocks_of_clusters_match_one_pass(monkeypatch):
     blocked_b0, blocked_logm = _log_brackets(y, mu, 0.2)
     np.testing.assert_allclose(blocked_b0, b0, rtol=1e-14, atol=1e-13)
     np.testing.assert_allclose(blocked_logm, logm, rtol=1e-14, atol=1e-15)
+
+
+PAPER_BETA = np.array([3.0, -1.25, 0.75])
+THETA_GRID = [(PAPER_BETA + db, phi) for db in (0.0, 0.1, -0.2) for phi in (PHI_FLOOR, 0.01, 0.45, 3.0)]
+
+
+def fresh_copy(data):
+    return ClusteredDataset.from_columns(data.ids, data.y_stacked.copy(), data.X_stacked.copy(), data.offsets.copy())
+
+
+def assert_same_pass(a, b):
+    assert a.loglik == b.loglik
+    for field in ("score", "hessian", "delta", "gamma"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+
+def assert_passes_repeat(data):
+    """Each pass over ``data``, whose layout is built once, equals the pass over a fresh copy."""
+    for beta, phi in THETA_GRID:
+        params = ModelParams(beta, phi)
+        first, second = _louis_pass(data, params), _louis_pass(data, params)
+        assert_same_pass(first, second)
+        assert_same_pass(first, _louis_pass(fresh_copy(data), params))
+
+
+@pytest.mark.parametrize(
+    "q, n_k, beta0, seed",
+    [(7, 300, 3.0, 1), (1000, 5, 3.0, 1), (7, 300, 5.0, 3)],
+    ids=["paper_cell", "many_clusters", "heavy_totals"],
+)
+def test_a_pass_repeats_bit_for_bit(q, n_k, beta0, seed):
+    truth = ModelParams(np.array([beta0, -1.25, 0.75]), 0.45)
+    data = simulate_dataset(q, n_k, truth, seed=seed)
+    layout = data.canonical.kernel
+    assert layout.terms is not None  # within one block: the terms are kept
+    assert_passes_repeat(data)
+    assert data.canonical.kernel is layout
+
+
+def test_a_pass_over_many_blocks_repeats_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(model, "_BLOCK_TERMS", 64)
+    data = simulate_dataset(7, 20, ModelParams(np.array([5.0, -1.25, 0.75]), 0.45), seed=1)
+    layout = data.canonical.kernel
+    # over one block, no per-term array is kept between passes
+    assert layout.terms is None and len(layout.cuts) > 1
+    assert_passes_repeat(data)
+
+
+def test_a_replicate_with_other_totals_gets_its_own_layout():
+    data = simulate_dataset(7, 30, ModelParams(PAPER_BETA, 0.45), seed=2)
+    _louis_pass(data, ModelParams(PAPER_BETA, 0.45))  # the dataset's layout, built and used
+    layout = data.canonical.kernel
+    replicate = data.with_responses(data.y_stacked[::-1].copy())
+    assert replicate._design is data._design
+    assert not np.array_equal(replicate.canonical.y_tot, data.canonical.y_tot)
+    assert_passes_repeat(replicate)
+    assert replicate.canonical.kernel is not layout and data.canonical.kernel is layout
+    np.testing.assert_array_equal(replicate.canonical.kernel.lo, np.maximum(replicate.canonical.y_tot - 3, 0))
+    # the layout depends on the counts, so the design the replicates share holds none
+    assert not any(isinstance(v, model._KernelLayout) for v in vars(data._design).values())

@@ -21,6 +21,7 @@ from cpbs import (
     simulate_dataset,
 )
 from cpbs.simulate import simulate_responses
+from cpbs.model import _means
 from conftest import S5_TRUTH, random_cluster
 from oracles import cluster_log_pmf_quad
 
@@ -233,3 +234,19 @@ class TestNormalizationProperty:
                 cutoff *= 2
             assert total == pytest.approx(1.0, abs=1e-6)
             assert total <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize(
+    "beta, message",
+    [
+        ([math.nan, 0.0], "non-finite linear predictor"),
+        ([math.inf, 0.0], "non-finite linear predictor"),
+        ([1e308, 1e308], "non-finite linear predictor"),  # X beta overflows
+        ([800.0, 0.0], "non-positive or non-finite means"),  # exp overflows
+        ([-800.0, 0.0], "non-positive or non-finite means"),  # exp underflows to 0
+    ],
+)
+def test_means_name_what_is_not_finite(beta, message):
+    X = np.column_stack([np.ones(4), np.linspace(0.0, 1.0, 4)])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _means(X, np.array(beta))

@@ -6,6 +6,7 @@ from scipy.stats import chi2
 
 from cpbs import (
     ModelParams,
+    bs_log_density,
     bs_mean,
     bs_variance,
     cluster_log_pmf,
@@ -192,3 +193,19 @@ class TestSimulatedDatasets:
                 mu = np.exp(c.X @ truth.beta)
                 assert np.array_equal(sample_cluster(mu, truth.phi, rng), want[:c.n])
                 want = want[c.n:]
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda phi: sample_bs(phi, np.random.default_rng(0)),
+        lambda phi: sample_bs(phi, np.random.default_rng(0), size=3),
+        lambda phi: sample_cluster([1.0, 2.0], phi, np.random.default_rng(0)),
+        lambda phi: bs_log_density(1.0, phi),
+    ],
+    ids=["sample_bs", "sample_bs_array", "sample_cluster", "bs_log_density"],
+)
+def test_nan_and_infinite_dispersion_are_refused(call, phi):
+    with pytest.raises(ValueError, match="phi must be positive and finite"):
+        call(phi)
