@@ -6,7 +6,7 @@ Exit codes are a stable contract:
     2  fit did not converge (a report is still emitted)
     3  usage error (bad flags/arguments)
     4  file not found / unreadable
-    5  data format error (missing column, non-integer response, NaN cell)
+    5  data format error (missing column, non-integer response, NaN cell, not UTF-8)
     6  rank-deficient design
     7  estimation failure (inner solver, too many replicate failures)
     8  stale fit (data hash mismatch)
@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     except (_UsageError, ValueError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as e:
+    except OSError as e:  # not found, a directory, not permitted
         print(f"file error: {e}", file=sys.stderr)
         return EXIT_IO
     except ConfigSchemaError as e:

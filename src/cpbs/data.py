@@ -41,14 +41,21 @@ __all__ = ["Cluster", "ClusteredDataset", "ModelParams", "PHI_FLOOR"]
 PHI_FLOOR = 1e-6
 
 
-def _log_factorial(y: np.ndarray) -> np.ndarray:
-    """log y! for each of the non-negative integer counts ``y``.
+# log k! = math.lgamma(k + 1.0) for the counts k below the table's length
+_LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(1 << 12)])
 
+
+def _log_factorial(y: np.ndarray) -> np.ndarray:
+    """log y! for each of the non-negative integer counts ``y``, of any shape.
+
+    Counts below the length of ``_LOG_FACTORIALS`` read the table; above it
     ``math.lgamma`` is evaluated once per distinct count, so the work and
     memory are bounded by the number of counts, not by their size.
     """
+    if not y.size or y.max() < _LOG_FACTORIALS.shape[0]:
+        return _LOG_FACTORIALS[y]
     values, inverse = np.unique(y, return_inverse=True)
-    return np.array([math.lgamma(v + 1.0) for v in values.tolist()])[inverse]
+    return np.array([math.lgamma(v + 1.0) for v in values.tolist()])[inverse.reshape(y.shape)]
 
 
 def _refuse(bad_row: np.ndarray, ids, offsets: np.ndarray, what: str):
@@ -121,8 +128,9 @@ class _Design:
     ``groups`` numbers, along ``order``, the runs of rows that share their
     cluster and every covariate, within which the counts decide the
     canonical order; it is None when no two rows of a cluster share X, and
-    ``order`` is then the canonical order itself.  ``rank`` is the column
-    rank of X, computed on first use.
+    ``order`` is then the canonical order itself, and ``X`` and ``X_t``,
+    built on first use, are the canonical X of every dataset of the design.
+    ``rank`` is the column rank of X, computed on first use.
     """
 
     def __init__(self, ids, X: np.ndarray, offsets: np.ndarray):
@@ -145,6 +153,19 @@ class _Design:
     def rank(self) -> int:
         return int(np.linalg.matrix_rank(self._X_stacked))
 
+    @cached_property
+    def X(self) -> np.ndarray:
+        return self._X_stacked[self.order]
+
+    @cached_property
+    def X_t(self) -> np.ndarray:
+        return np.ascontiguousarray(self.X.T)
+
+    def view(self, y, y_tot, lgamma) -> "_CanonicalView":
+        """The canonical view of counts ``y`` in ``order``, when ``groups`` is None."""
+        return _CanonicalView(y, self.X, self.X_t, self.starts, self.sizes, self.order, self.cluster_order,
+                              y_tot, lgamma)
+
 
 @dataclass(frozen=True)
 class _CanonicalView:
@@ -159,12 +180,14 @@ class _CanonicalView:
     ``kernel``, the Bessel kernel's layout of ``y_tot``, built on first
     use.  ``starts``, ``sizes`` and ``cluster_order`` come from the
     dataset's ``_Design``, and are the same arrays in every dataset that
-    shares it.  ``X_t`` is ``X`` transposed into C order, for sums over the
-    rows of each cluster.
+    shares it; so are ``X`` and ``X_t`` when the design has no tied rows.
+    ``X_t`` is ``X`` transposed into C order, for sums over the rows of each
+    cluster.
     """
 
     y: np.ndarray
     X: np.ndarray
+    X_t: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
     perm: np.ndarray
@@ -177,10 +200,6 @@ class _CanonicalView:
         from .model import _KernelLayout  # model imports this module
 
         return _KernelLayout(self.y_tot)
-
-    @cached_property
-    def X_t(self) -> np.ndarray:
-        return np.ascontiguousarray(self.X.T)
 
 
 class ClusteredDataset:
@@ -281,16 +300,12 @@ class ClusteredDataset:
         if design.groups is not None:
             perm = perm[np.lexsort((self.y_stacked[perm], design.groups))]
         y = self.y_stacked[perm]
-        return _CanonicalView(
-            y=y,
-            X=self.X_stacked[perm],
-            starts=design.starts,
-            sizes=design.sizes,
-            perm=perm,
-            cluster_order=design.cluster_order,
-            y_tot=np.add.reduceat(y, design.starts),
-            lgamma=np.add.reduceat(_log_factorial(y), design.starts),
-        )
+        y_tot, lgamma = np.add.reduceat(y, design.starts), np.add.reduceat(_log_factorial(y), design.starts)
+        if design.groups is None:
+            return design.view(y, y_tot, lgamma)
+        X = self.X_stacked[perm]
+        return _CanonicalView(y, X, np.ascontiguousarray(X.T), design.starts, design.sizes, perm,
+                              design.cluster_order, y_tot, lgamma)
 
     def assert_full_rank(self):
         """Raise RankDeficiencyError unless the stacked design has full column rank."""
@@ -334,6 +349,43 @@ class ClusteredDataset:
             h.update(X[a * x_row : b * x_row])
             h.update(repr((b - a, self.p)).encode())
         return h.hexdigest()
+
+
+def _stack(arrays: list) -> np.ndarray:
+    """Arrays of one shape stacked along a new first axis; one array is a view of it."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+class _Replicates:
+    """Datasets that share one design, side by side for evaluation.
+
+    ``views`` are their canonical views; ``y``, ``y_tot`` and ``lgamma``
+    stack their canonical counts, count totals and log-factorial sums, one
+    row per dataset; ``X_t`` is the canonical X transposed, shared (p x n)
+    or, on a design with tied rows, one per dataset (R x p x n).  Without
+    tied rows, the views of two or more datasets are made here from one
+    gather of all their counts, and each dataset keeps its own.  ``kernels``
+    holds the Bessel kernel's layouts of groups of the datasets, which
+    ``model._kernel_groups`` keeps from one pass to the next.
+    """
+
+    def __init__(self, datasets):
+        design = datasets[0]._design
+        self.starts, self.sizes, self.p = design.starts, design.sizes, datasets[0].p
+        self.kernels = {}
+        if len(datasets) == 1 or design.groups is not None:
+            self.views = [d.canonical for d in datasets]
+            self.y, self.y_tot, self.lgamma = (_stack([getattr(v, a) for v in self.views])
+                                               for a in ("y", "y_tot", "lgamma"))
+            self.X_t = self.views[0].X_t if design.groups is None else _stack([v.X_t for v in self.views])
+            return
+        self.y = np.stack([d.y_stacked for d in datasets])[:, design.order]
+        self.y_tot = np.add.reduceat(self.y, design.starts, axis=1)
+        self.lgamma = np.add.reduceat(_log_factorial(self.y), design.starts, axis=1)
+        self.views = list(map(design.view, self.y, self.y_tot, self.lgamma))
+        for data, view in zip(datasets, self.views):
+            data.__dict__["canonical"] = view
+        self.X_t = design.X_t
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,24 @@ certificate is the KKT condition of the bound.  Where a Newton step cannot
 be trusted, the loop takes one on the Hessian with its eigenvalues made
 negative, halved down to rounding; if none of its halvings rises, it stops.
 
+The loop is written once, as a generator (``_certified_fit``, with the
+Poisson-GLM start's IRLS, ``_irls``, as a sub-generator): it yields requests
+(a trial point's Bessel pass, the Louis assembly of the trial it accepts, a
+Newton solve, and the IRLS's Poisson evaluations and solves) and receives
+their answers.  ``_drive`` answers one generator's requests as they come;
+that is ``em_fit``, ``direct_ml_fit`` and ``m_step_beta``.  ``_run`` drives
+many generators over datasets of one design in lock-step, answering all
+pending requests of a kind with one stacked evaluation, in which each
+dataset gets the bits of its own.
+
 Standard errors come from a parametric bootstrap; the observed information
 serves only the Newton finish.  B datasets are simulated at the fitted
 parameters with the original design and cluster sizes, each refit, and
-per-coordinate sample standard deviations reported.
+per-coordinate sample standard deviations reported.  The bootstrap, the
+envelopes and the Monte Carlo study share one replicate loop,
+``_refit_replicates``, which refits fixed-size chunks of replicates by
+``_run``; a chunk never changes a result, so every replicate keeps the fit
+``em_fit`` gives it alone, whatever the chunks and the worker count.
 """
 
 from __future__ import annotations
@@ -44,9 +58,9 @@ import numpy as np
 
 from . import _util
 from .bessel import log_bessel_k_half_scaled_table
-from .data import PHI_FLOOR, ClusteredDataset, ModelParams
+from .data import PHI_FLOOR, ClusteredDataset, ModelParams, _Replicates, _stack
 from .exceptions import BootstrapFailureError, CpbsError, MStepConvergenceError, RankDeficiencyError
-from .model import _canonical_cluster_stats, _cluster_pass, _log_brackets, _means, _one_cluster
+from .model import _canonical_cluster_stats, _cluster_pass, _cluster_passes, _log_brackets, _means, _one_cluster
 from .simulate import simulate_responses
 
 __all__ = [
@@ -225,7 +239,18 @@ def m_step_beta(
     Solves sum_kj (y_kj - delta_k mu_kj) x_kj = 0 to ``tol`` in the score
     max-norm.  Raises RankDeficiencyError if the weighted normal equations
     are singular, MStepConvergenceError (carrying the last iterate) if the
-    inner loop does not converge.
+    inner loop does not converge.  The iteration is ``_irls``, driven alone.
+    """
+    return _drive(data, _irls(data, delta, beta_init, tol, max_iter))
+
+
+def _irls(data: ClusteredDataset, delta, beta_init, tol: float = 1e-10, max_iter: int = 100):
+    """The IRLS of ``m_step_beta``, as a generator of requests; it returns the coefficients.
+
+    It yields ("poisson", beta, offset) for the Poisson objective and means
+    at beta, and receives (ll, w), or (-inf, None) where a mean is not
+    finite; and ("solve", H, score) for a Newton step, receiving the step,
+    or a LinAlgError thrown in.  The products with X are formed here.
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=np.float64))
     if delta.shape != (data.q,) or np.any(delta <= 0.0):
@@ -237,51 +262,42 @@ def m_step_beta(
     if beta.shape != (data.p,):
         raise ValueError(f"beta_init must have length p={data.p}")
 
-    def poisson_ll(b):
-        eta = X @ b + offset
-        with np.errstate(over="ignore"):
-            w = np.exp(eta)
-        if not np.all(np.isfinite(w)):
-            return -np.inf, None
-        return float(y @ eta - w.sum()), w
-
-    ll, w = poisson_ll(beta)
-    if not np.isfinite(ll):
+    ll, w = yield "poisson", beta, offset
+    if not math.isfinite(ll):
         raise MStepConvergenceError("non-finite objective at beta_init", beta_last=beta)
     for _ in range(max_iter):
         score = X.T @ (y - w)
-        if float(np.max(np.abs(score))) <= tol:
+        if float(np.abs(score).max()) <= tol:
             return beta
-        H = X.T @ (X * w[:, None])
         try:
-            step = np.linalg.solve(H, score)
+            step = yield "solve", X.T @ (X * w[:, None]), score
         except np.linalg.LinAlgError:
             raise RankDeficiencyError("singular weighted normal equations in the M-step") from None
         # Newton with step halving.  The objective guard only matters for
         # large overshooting steps; near the optimum the predicted gain sits
         # below the objective's rounding noise, so small steps are accepted
         # outright (the log-link objective is concave, Newton contracts).
-        beta_scale = 1.0 + float(np.max(np.abs(beta)))
+        beta_scale = 1.0 + float(np.abs(beta).max())
         slack = 1e-12 * (1.0 + abs(ll))
         improved = False
         for _half in range(60):
             cand = beta + step
-            small = float(np.max(np.abs(step))) <= 1e-6 * beta_scale
-            ll_new, w_new = poisson_ll(cand)
-            if np.isfinite(ll_new) and (small or ll_new >= ll - slack):
+            small = float(np.abs(step).max()) <= 1e-6 * beta_scale
+            ll_new, w_new = yield "poisson", cand, offset
+            if math.isfinite(ll_new) and (small or ll_new >= ll - slack):
                 beta, ll, w = cand, ll_new, w_new
                 improved = True
                 break
             step *= 0.5
-        if not improved or float(np.max(np.abs(step))) <= 4e-16 * beta_scale:
+        if not improved or float(np.abs(step).max()) <= 4e-16 * beta_scale:
             # parameter fixed point at machine precision; accept if the
             # score is already at its rounding floor
             score = X.T @ (y - w)
-            if float(np.max(np.abs(score))) <= 1e-6:
+            if float(np.abs(score).max()) <= 1e-6:
                 return beta
             raise MStepConvergenceError("M-step stalled before reaching tolerance", beta_last=beta)
     score = X.T @ (y - w)
-    if float(np.max(np.abs(score))) <= 1e-6:
+    if float(np.abs(score).max()) <= 1e-6:
         return beta
     raise MStepConvergenceError(
         f"M-step did not converge in {max_iter} iterations", beta_last=beta
@@ -301,14 +317,15 @@ def m_step_phi(moments: ConditionalMoments) -> float:
     return max(math.sqrt(max(mean_sum - 2.0, 0.0)), PHI_FLOOR)
 
 
-def _poisson_glm_init(data: ClusteredDataset) -> ModelParams:
+def _poisson_glm_init(data: ClusteredDataset):
     """Plain Poisson fit ignoring clustering, plus method-of-moments dispersion.
 
-    The dispersion start matches the pooled Pearson overdispersion statistic
-    to the model's variance function and is clamped to [0.05, 5].  Means
-    that underflow or overflow (separated zeros) raise MStepConvergenceError.
+    A generator, as ``_irls`` is, that returns the start.  The dispersion
+    start matches the pooled Pearson overdispersion statistic to the model's
+    variance function and is clamped to [0.05, 5].  Means that underflow or
+    overflow (separated zeros) raise MStepConvergenceError.
     """
-    beta = m_step_beta(data, np.ones(data.q), np.zeros(data.p), tol=1e-8)
+    beta = yield from _irls(data, np.ones(data.q), np.zeros(data.p), tol=1e-8)
     canon = data.canonical
     try:
         mu = _means(canon.X, beta)
@@ -342,15 +359,27 @@ class _Pass:
 
 def _louis_pass(data: ClusteredDataset, params: ModelParams) -> _Pass:
     """One Bessel pass at shifts -2..2: the log-likelihood, exact score and Hessian."""
-    return _louis(data, params, *_cluster_pass(data, params))
+    return _drive(data, _full_pass(params))
 
 
-def _louis(data: ClusteredDataset, params: ModelParams, ll: float, logm, mu, m) -> _Pass:
-    """The ``_Pass`` at ``params``, given its ``_cluster_pass`` (ll, logm, mu, m).
+def _full_pass(params: ModelParams):
+    """A generator that requests the pass at ``params`` and its Louis assembly, and returns the ``_Pass``."""
+    return (yield "louis", params, (yield "pass", params))
 
-    With s_k = sum_j mu_kj x_kj and A = T + 1/T - 2, Louis' identity gives the
-    observed Hessian as the posterior mean of the complete-data Hessian plus
-    the posterior variance of the complete-data score:
+
+def _passes(reps: _Replicates, rows: list, requests: list) -> list:
+    """The answers to ("pass", params): ``model._cluster_passes`` of datasets ``rows`` of ``reps``."""
+    return _cluster_passes(reps, rows, [request[1] for request in requests])
+
+
+def _louis_passes(reps: _Replicates, rows: list, requests: list) -> list:
+    """The answers to ("louis", params, (ll, logm, mu, m)): each ``_Pass`` at its params.
+
+    (ll, logm, mu, m) is the ``_cluster_pass`` of dataset ``rows[j]`` of
+    ``reps`` at those params.  With s_k = sum_j mu_kj x_kj and
+    A = T + 1/T - 2, Louis' identity gives the observed Hessian as the
+    posterior mean of the complete-data Hessian plus the posterior variance
+    of the complete-data score:
 
         H_bb = -sum_k delta_k sum_j mu x x' + sum_k Var(T) s_k s_k'
         H_bp = -sum_k s_k Cov(T, A) / phi^3
@@ -378,11 +407,34 @@ def _louis(data: ClusteredDataset, params: ModelParams, ll: float, logm, mu, m) 
     the smaller error: the expansion for its score term where
     phi^8 M_k^3 <= e, and for its Hessian terms where phi^10 M_k^3 <= e.
     The expansion's arrays are formed only when some cluster takes it.
+
+    The datasets are assembled side by side: each one's products with X are
+    its own calls, and everything else is elementwise, reduces one
+    dataset's values as its own assembly does, or is a stack of small
+    matrix products that BLAS forms one matrix at a time.  The powers of phi
+    stay Python floats per dataset; one that overflows fails its dataset
+    with the OverflowError.
     """
-    lm_m2, lm_m1, _, lm_1, lm_2 = logm.T
-    canon = data.canonical
-    X = canon.X
-    phi = params.phi
+    out, kept, powers = [None] * len(rows), [], []
+    for j, (_, params, _) in enumerate(requests):
+        phi = params.phi
+        try:
+            powers.append((phi, phi**2, phi**3, phi**4, phi**6, phi**8, phi**10))
+        except OverflowError as e:
+            out[j] = e
+            continue
+        kept.append(j)
+    if not kept:
+        return out
+    # one dataset's powers stay numbers; several are spread over their clusters
+    if len(kept) > 1:
+        q = reps.y_tot.shape[1]
+        powers = [np.array(powers).T.repeat(q, axis=1).reshape(7, -1, q)]
+    phi, phi_2, phi_3, phi_4, phi_6, phi_8, phi_10 = powers[0]
+    passes = [requests[j][2] for j in kept]
+    sub = [rows[j] for j in kept]
+    lm_m2, lm_m1, _, lm_1, lm_2 = _stack([r[1] for r in passes]).transpose(2, 0, 1)
+    mu, m = _stack([r[2] for r in passes]), _stack([r[3] for r in passes])
     delta, gamma = np.exp(lm_1), np.exp(lm_m1)
     var_t = delta * delta * np.expm1(lm_2 - 2.0 * lm_1)
     var_inv = gamma * gamma * np.expm1(lm_m2 - 2.0 * lm_m1)
@@ -391,52 +443,146 @@ def _louis(data: ClusteredDataset, params: ModelParams, ll: float, logm, mu, m) 
     var_a = var_t + var_inv + 2.0 * cov_t_inv
     cov_ta = var_t + cov_t_inv
 
-    w = np.repeat(delta, canon.sizes) * mu
-    s = np.ascontiguousarray(np.add.reduceat(canon.X_t * mu, canon.starts, axis=1).T)
+    w = np.repeat(delta, reps.sizes, axis=1) * mu
+    X_t = reps.X_t if reps.X_t.ndim == 2 else reps.X_t[sub]
+    s = np.ascontiguousarray(np.add.reduceat(X_t * mu[:, None, :], reps.starts, axis=2).transpose(0, 2, 1))
     # the expansion may overflow where the means are huge; it is not taken there
     with np.errstate(over="ignore", invalid="ignore"):
         m3 = m**3
-        score_series = phi**8 * m3 <= _MOMENT_ROUNDING
-        g_phi = (e_a - phi * phi) / phi**3
-        series = phi**10 * m3 <= _MOMENT_ROUNDING
-        h_bp = -cov_ta / phi**3
-        h_pp = 1.0 / phi**2 - 3.0 * e_a / phi**4 + var_a / phi**6
+        score_series = phi_8 * m3 <= _MOMENT_ROUNDING
+        g_phi = (e_a - phi * phi) / phi_3
+        series = phi_10 * m3 <= _MOMENT_ROUNDING
+        h_bp = -cov_ta / phi_3
+        h_pp = 1.0 / phi_2 - 3.0 * e_a / phi_4 + var_a / phi_6
         if score_series.any() or series.any():
-            r = canon.y_tot - m
+            r = reps.y_tot[sub] - m
             b = 0.5 * (r * r - m)
             c = 0.25 * m * m - 0.5 * m * r - (0.5 * m + 0.125) * r * r
             db_dm = -(r + 0.5)
             dc_dm = m + (m - 0.25) * r - 0.5 * r * r
-            g_phi = np.where(score_series, 2.0 * phi * b + 4.0 * phi**3 * c, g_phi)
-            h_bp = np.where(series, 2.0 * phi * db_dm + 4.0 * phi**3 * dc_dm, h_bp)
-            h_pp = np.where(series, 2.0 * b + 12.0 * phi**2 * c, h_pp)
+            g_phi = np.where(score_series, 2.0 * phi * b + 4.0 * phi_3 * c, g_phi)
+            h_bp = np.where(series, 2.0 * phi * db_dm + 4.0 * phi_3 * dc_dm, h_bp)
+            h_pp = np.where(series, 2.0 * b + 12.0 * phi_2 * c, h_pp)
 
-    p = data.p
-    score = np.empty(p + 1)
-    score[:p] = X.T @ (canon.y - w)
-    score[p] = float(np.sum(g_phi))
-    hessian = np.empty((p + 1, p + 1))
-    hessian[:p, :p] = s.T @ (s * var_t[:, None]) - X.T @ (X * w[:, None])
-    hessian[:p, p] = hessian[p, :p] = s.T @ h_bp
-    hessian[p, p] = float(np.sum(h_pp))
-    return _Pass(params, ll, score, hessian, delta, gamma)
+    p = reps.p
+    s_t = s.transpose(0, 2, 1)
+    score, hessian = np.empty((len(sub), p + 1)), np.empty((len(sub), p + 1, p + 1))
+    score[:, p] = g_phi.sum(axis=1)
+    hessian[:, :p, p] = hessian[:, p, :p] = np.matmul(s_t, h_bp[..., None])[..., 0]
+    hessian[:, p, p] = h_pp.sum(axis=1)
+    s_var_s = np.matmul(s_t, s * var_t[..., None])
+    y_w = (reps.y[sub] if len(sub) < len(reps.views) else reps.y) - w
+    for k, (j, row) in enumerate(zip(kept, sub)):
+        X = reps.views[row].X
+        score[k, :p] = X.T @ y_w[k]
+        hessian[k, :p, :p] = s_var_s[k] - X.T @ (X * w[k][:, None])
+        out[j] = _Pass(requests[j][1], passes[k][0], score[k], hessian[k], delta[k], gamma[k])
+    return out
 
 
-def _newton_step(score: np.ndarray, hessian: np.ndarray, free: np.ndarray):
-    """The Newton step on the free coordinates and its decrement, or None.
+def _newton_steps(reps: _Replicates, rows: list, requests: list) -> list:
+    """The answers to ("newton", score, hessian, free): each Newton step on the free coordinates and its decrement.
 
     None when the free block of the Hessian is not negative definite.  The
     decrement g'(-H)^-1 g is twice the gain the local quadratic predicts.
+    Requests with the same free coordinates are factored and solved as one
+    stack, in which LAPACK takes each matrix on its own; where one of them
+    is not negative definite, each half of the stack is taken on its own.
     """
-    free = slice(None) if free.all() else free  # a slice indexes without copying
-    g = score[free]
+    out, groups = [None] * len(requests), {}
+    for j, request in enumerate(requests):
+        groups.setdefault(request[3].tobytes(), []).append(j)
+    for group in groups.values():
+        free = requests[group[0]][3]
+        free = slice(None) if free.all() else free  # a slice indexes without copying
+        try:
+            chol = np.linalg.cholesky(_stack([-requests[j][2][free][:, free] for j in group]))
+        except np.linalg.LinAlgError:  # not all negative definite: each half on its own
+            if len(group) > 1:
+                half = len(group) // 2
+                for part in (group[:half], group[half:]):
+                    for j, step in zip(part, _newton_steps(reps, rows, [requests[j] for j in part])):
+                        out[j] = step
+            continue
+        g = _stack([requests[j][1][free] for j in group])
+        steps = np.linalg.solve(chol.transpose(0, 2, 1), np.linalg.solve(chol, g[..., None]))[..., 0]
+        for k, j in enumerate(group):
+            step = np.zeros_like(requests[j][1])
+            step[free] = steps[k]
+            out[j] = step, float(g[k] @ steps[k])
+    return out
+
+
+def _solves(reps: _Replicates, rows: list, requests: list) -> list:
+    """The answers to ("solve", H, score): each solution of H x = score, or the LinAlgError of a singular H."""
     try:
-        chol = np.linalg.cholesky(-hessian[free][:, free])
-    except np.linalg.LinAlgError:
-        return None
-    step = np.zeros_like(score)
-    step[free] = np.linalg.solve(chol.T, np.linalg.solve(chol, g))
-    return step, float(g @ step[free])
+        steps = np.linalg.solve(_stack([r[1] for r in requests]), _stack([r[2] for r in requests])[..., None])
+        return list(steps[..., 0])
+    except np.linalg.LinAlgError as e:
+        return [e] if len(requests) == 1 else [_solves(reps, rows, [request])[0] for request in requests]
+
+
+def _poisson_evals(reps: _Replicates, rows: list, requests: list) -> list:
+    """The answers to ("poisson", beta, offset): the Poisson objective and means (ll, w) at beta, or (-inf, None).
+
+    With eta = X beta + offset and w = exp(eta), ll = y'eta - sum(w); a
+    mean that is not finite gives (-inf, None).
+    """
+    eta = _stack([reps.views[r].X @ beta + offset for r, (_, beta, offset) in zip(rows, requests)])
+    with np.errstate(over="ignore"):
+        w = np.exp(eta)
+    finite, total = np.isfinite(w).all(axis=1).tolist(), w.sum(axis=1)
+    return [(float(reps.views[r].y @ eta[j] - total[j]), w[j]) if finite[j] else (-np.inf, None)
+            for j, r in enumerate(rows)]
+
+
+# how each kind of request is answered, in the order a round of ``_run`` answers them
+_ANSWER = {"pass": _passes, "poisson": _poisson_evals, "louis": _louis_passes, "newton": _newton_steps,
+           "solve": _solves}
+
+
+def _drive(data: ClusteredDataset, fit):
+    """Run the generator ``fit`` over ``data`` alone to what it returns, answering each request as it comes."""
+    reps, answer = _Replicates([data]), None
+    while True:
+        try:
+            request = fit.throw(answer) if isinstance(answer, Exception) else fit.send(answer)
+        except StopIteration as stop:
+            return stop.value
+        answer = _ANSWER[request[0]](reps, [0], [request])[0]
+
+
+def _run(reps: _Replicates, fits: list) -> list:
+    """Run the generators ``fits``, one per dataset of ``reps``, in lock-step.
+
+    Each round answers the pending requests of each kind in turn, all of a
+    kind at once: the trial passes and IRLS evaluations, then the Louis
+    assemblies those passes lead to, then the Newton and IRLS solves.  An
+    answer that is an exception is thrown into its generator.  Every answer
+    has the bits it would have alone (see ``_cluster_passes`` and
+    ``_louis_passes``), so each generator takes the path it takes under
+    ``_drive``.  Returns per generator what it returns, or the exception it
+    raises.
+    """
+    results, pending = [None] * len(fits), {}
+
+    def advance(r, answer=None):
+        try:
+            pending[r] = fits[r].throw(answer) if isinstance(answer, Exception) else fits[r].send(answer)
+        except StopIteration as stop:
+            results[r] = stop.value
+        except Exception as e:  # this fit's own error is its result; the others go on
+            results[r] = e
+
+    for r in range(len(fits)):
+        advance(r)
+    while pending:
+        for kind, answer in _ANSWER.items():
+            rows = sorted(r for r, request in pending.items() if request[0] == kind)
+            if rows:
+                for r, a in zip(rows, answer(reps, rows, [pending.pop(r) for r in rows])):
+                    advance(r, a)
+    return results
 
 
 def _psi_chart(cur: _Pass):
@@ -454,16 +600,17 @@ def _psi_chart(cur: _Pass):
     return g, h
 
 
-def _try_step(data: ClusteredDataset, cur: _Pass, step: np.ndarray, psi: bool, halvings: int, strict=False,
-              louis=True):
+def _try_step(cur: _Pass, step: np.ndarray, psi: bool, halvings: int, strict=False, louis=True):
     """The pass at the first of step, step/2, ... where the log-likelihood does not fall.
 
-    The last coordinate of ``step`` moves phi, or psi = phi^2 if ``psi``, and
-    the dispersion is projected onto phi >= PHI_FLOOR; with ``strict`` a tie
-    counts as a fall.  A trial is judged on its log-likelihood alone: the
-    score and Hessian are formed only for the trial returned, and only if
-    ``louis``.  None if every trial falls or leaves the model's domain,
-    where a domain error in that score or Hessian fails the trial too.
+    A generator that requests each trial's pass and returns the pass it
+    takes.  The last coordinate of ``step`` moves phi, or psi = phi^2 if
+    ``psi``, and the dispersion is projected onto phi >= PHI_FLOOR; with
+    ``strict`` a tie counts as a fall.  A trial is judged on its
+    log-likelihood alone: the score and Hessian are requested only for the
+    trial returned, and only if ``louis``.  None if every trial falls or
+    leaves the model's domain, where a domain error in that score or
+    Hessian fails the trial too.
     """
     beta, phi = cur.params.beta, cur.params.phi
     for _ in range(halvings + 1):
@@ -473,23 +620,24 @@ def _try_step(data: ClusteredDataset, cur: _Pass, step: np.ndarray, psi: bool, h
             phi_new = max(phi + step[-1], PHI_FLOOR)
         try:
             params = ModelParams(beta=beta + step[:-1], phi=phi_new)
-            ll, *moments = _cluster_pass(data, params)
-            if ll > cur.loglik if strict else ll >= cur.loglik:
-                return _louis(data, params, ll, *moments) if louis else _Pass(params, ll)
+            trial = yield "pass", params
+            if trial[0] > cur.loglik if strict else trial[0] >= cur.loglik:
+                return (yield "louis", params, trial) if louis else _Pass(params, trial[0])
         except (ValueError, OverflowError, FloatingPointError):
             pass
         step = 0.5 * step
     return None
 
 
-def _modified_newton_step(data: ClusteredDataset, cur: _Pass, free: np.ndarray):
+def _modified_newton_step(cur: _Pass, free: np.ndarray):
     """A Newton step on the free coordinates with -H made positive definite.
 
     The eigenvalues of -H are replaced by their absolute values, floored at
     _EIGEN_FLOOR times the largest, so the step rises along the score but can
     be a thousand units long.  It is projected as a Newton step is, and
     halved until its largest coordinate falls below eps * (1 + max|theta|),
-    where the iterate stops moving.  None if no halving strictly rises.
+    where the iterate stops moving.  A generator, as ``_try_step`` is; it
+    returns None if no halving strictly rises.
     """
     w, v = np.linalg.eigh(-cur.hessian[np.ix_(free, free)])
     w = np.maximum(np.abs(w), _EIGEN_FLOOR * np.abs(w).max())
@@ -498,13 +646,14 @@ def _modified_newton_step(data: ClusteredDataset, cur: _Pass, free: np.ndarray):
     rounding = np.finfo(np.float64).eps * (1.0 + np.abs(cur.params.as_array()).max())
     # frexp(x)[1] - 1 = floor(log2 x): the halvings that keep the step at or above the rounding
     halvings = math.frexp(float(np.abs(step).max()) / rounding)[1] - 1
-    return _try_step(data, cur, step, psi=False, halvings=halvings, strict=True)
+    return (yield from _try_step(cur, step, psi=False, halvings=halvings, strict=True) or ())
 
 
-def _certified_fit(data: ClusteredDataset, config: EmConfig | None, method: str) -> FitResult:
+def _certified_fit(data: ClusteredDataset, config: EmConfig | None, method: str):
     """The guarded Newton loop on the exact observed information that both fits run.
 
-    The loop starts at ``config.init``.  Each trial point costs one Bessel
+    A generator of requests (see ``_run``) that returns the FitResult.  The
+    loop starts at ``config.init``.  Each trial point costs one Bessel
     pass, which gives its log-likelihood; the exact score and the Louis
     Hessian in (beta, phi) are formed from that pass only for the iterate
     the loop moves to.  The free coordinates are (beta, phi), or
@@ -529,8 +678,8 @@ def _certified_fit(data: ClusteredDataset, config: EmConfig | None, method: str)
     config = EmConfig() if config is None else config
     data.assert_full_rank()
     p = data.p
-    start = config.init if isinstance(config.init, ModelParams) else _poisson_glm_init(data)
-    cur = _louis_pass(data, start)
+    start = config.init if isinstance(config.init, ModelParams) else (yield from _poisson_glm_init(data))
+    cur = yield from _full_pass(start)
     trace = []
     converged = False
     message = "max_iter reached before the Newton decrement tolerance"
@@ -539,21 +688,22 @@ def _certified_fit(data: ClusteredDataset, config: EmConfig | None, method: str)
         free = np.ones(p + 1, dtype=bool)
         free[p] = not (cur.params.phi <= PHI_FLOOR and cur.score[p] <= 0.0)
         psi = False
-        newton = _newton_step(cur.score, cur.hessian, free)
+        newton = yield "newton", cur.score, cur.hessian, free
         if newton is None and free[p]:
             psi = True
-            newton = _newton_step(*_psi_chart(cur), free)
+            newton = yield "newton", *_psi_chart(cur), free
         if newton is not None:
             step, decrement = newton
+            # ``or ()``: a _try_step that returns its outcome at once, not as a generator, is taken too
             if decrement <= config.epsilon:
                 converged = True
-                cur = _try_step(data, cur, step, psi, halvings=0, louis=False) or cur
+                cur = (yield from _try_step(cur, step, psi, halvings=0, louis=False) or ()) or cur
                 break
-            nxt = _try_step(data, cur, step, psi, halvings=_MAX_HALVINGS)
+            nxt = yield from _try_step(cur, step, psi, halvings=_MAX_HALVINGS) or ()
             if nxt is not None:
                 cur = nxt
                 continue
-        nxt = _modified_newton_step(data, cur, free)
+        nxt = yield from _modified_newton_step(cur, free)
         if nxt is None:
             message = "the modified Newton step lowered or kept the log-likelihood at every halving"
             break
@@ -581,12 +731,12 @@ def em_fit(data: ClusteredDataset, config: EmConfig | None = None) -> FitResult:
     steps crawl where the likelihood is not concave, and there the loop takes
     the modified Newton step, halved down to rounding, instead.
     """
-    return _certified_fit(data, config, "em")
+    return _drive(data, _certified_fit(data, config, "em"))
 
 
 def direct_ml_fit(data: ClusteredDataset, config: EmConfig | None = None) -> FitResult:
     """The fit of ``em_fit``, labelled ``method="direct"`` (``cpbs fit --method direct``)."""
-    return _certified_fit(data, config, "direct")
+    return _drive(data, _certified_fit(data, config, "direct"))
 
 
 def _theta(sim: ClusteredDataset, fit: FitResult) -> np.ndarray:
@@ -594,29 +744,53 @@ def _theta(sim: ClusteredDataset, fit: FitResult) -> np.ndarray:
     return fit.params.as_array()
 
 
-def _refit_replicate(args):
-    data, params, ss, warm, keep = args
-    sim = simulate_responses(data, params, np.random.default_rng(ss))
-    try:
-        fit = em_fit(sim, EmConfig(init=params) if warm else None)
-    except CpbsError:
-        return None
-    return keep(sim, fit) if fit.converged else None
+# replicates refitted in lock-step: at most _CHUNK, and fewer where their
+# stacked counts would exceed _CHUNK_ROWS rows (a few MB an array), as
+# model._BLOCK_TERMS bounds the series terms
+_CHUNK = 32
+_CHUNK_ROWS = 1 << 16
+
+
+def _fit_chunk(sims: list, config: EmConfig | None) -> list:
+    """``em_fit`` of each of ``sims``, datasets that share one design, refitted in lock-step by ``_run``.
+
+    Returns per dataset its FitResult, bit for bit that of ``em_fit`` alone,
+    or the CpbsError its fit raises; any other error is raised.
+    """
+    fits = _run(_Replicates(sims), [_certified_fit(sim, config, "em") for sim in sims])
+    for fit in fits:
+        if isinstance(fit, Exception) and not isinstance(fit, CpbsError):
+            raise fit
+    return fits
+
+
+def _refit_chunk(args):
+    data, params, seeds, warm, keep = args
+    sims = [simulate_responses(data, params, np.random.default_rng(ss)) for ss in seeds]
+    fits = _fit_chunk(sims, EmConfig(init=params) if warm else None)
+    return [keep(sim, fit) if isinstance(fit, FitResult) and fit.converged else None for sim, fit in zip(sims, fits)]
 
 
 def _refit_replicates(data, params, seeds, keep, warm, ceiling, what, workers):
     """Simulate counts at ``params`` on the design of ``data`` and refit, once per seed.
 
     The one replicate loop of the bootstrap, the envelopes and the Monte
-    Carlo study.  Each seed draws its counts from ``simulate_responses`` and
-    they are refitted by ``em_fit``, from ``params`` if ``warm`` and from the
-    Poisson-GLM start otherwise.  Returns, in seed order, ``keep(sim, fit)``
-    (a module-level function, so a worker pickles back only that) of each
-    certified refit and None for each dropped one: a refit that raises a
-    CpbsError or does not certify.  More than ``ceiling`` of the seeds
-    dropped raises BootstrapFailureError, naming the replicates ``what``.
+    Carlo study.  Each seed draws its counts from ``simulate_responses``,
+    and they are refitted as ``em_fit`` refits them, from ``params`` if
+    ``warm`` and from the Poisson-GLM start otherwise.  The refits run in
+    chunks of consecutive seeds (``_fit_chunk``), each chunk one lock-step
+    run of the fit loop over its replicates, and chunks go to the workers.
+    Every replicate gets the bits of its own ``em_fit``, so neither the
+    chunks nor the worker count change a result.  Returns, in seed order,
+    ``keep(sim, fit)`` (a module-level function, so a worker pickles back
+    only that) of each certified refit and None for each dropped one: a
+    refit that raises a CpbsError or does not certify.  More than
+    ``ceiling`` of the seeds dropped raises BootstrapFailureError, naming
+    the replicates ``what``.
     """
-    results = _util.pmap(_refit_replicate, [(data, params, ss, warm, keep) for ss in seeds], workers)
+    size = max(1, min(_CHUNK, _CHUNK_ROWS // data.n, -(-len(seeds) // _util.effective_workers(workers))))
+    chunks = [(data, params, seeds[i : i + size], warm, keep) for i in range(0, len(seeds), size)]
+    results = [r for chunk in _util.pmap(_refit_chunk, chunks, workers) for r in chunk]
     dropped = sum(r is None for r in results)
     if dropped > ceiling * len(results):
         raise BootstrapFailureError(f"{dropped}/{len(results)} {what} failed to refit (> {ceiling:.0%} ceiling)")

@@ -33,6 +33,7 @@ import numpy as np
 from .data import ClusteredDataset, ModelParams
 from .estimation import FitResult
 from .exceptions import (
+    DataFormatError,
     MissingColumnError,
     MissingValueError,
     ResponseTypeError,
@@ -164,12 +165,15 @@ def load_csv(path, spec: ModelSpec) -> ClusteredDataset:
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        needed = [spec.response, spec.cluster, *spec.covariates]
-        missing = [c for c in needed if c not in header]
-        if missing:
-            raise MissingColumnError(f"missing column(s) in {path}: {', '.join(missing)}")
-        rows = list(filter(None, reader))
+        try:
+            header = next(reader, [])
+            needed = [spec.response, spec.cluster, *spec.covariates]
+            missing = [c for c in needed if c not in header]
+            if missing:
+                raise MissingColumnError(f"missing column(s) in {path}: {', '.join(missing)}")
+            rows = list(filter(None, reader))
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"{path} is not UTF-8 text ({e})") from None
     if not rows:
         raise MissingValueError(f"no data rows in {path}")
     index = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column

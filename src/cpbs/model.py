@@ -27,7 +27,7 @@ The posterior moments E(T^s | y) are ratios of the bracket at orders
 shifted by s to the bracket itself.  One vectorized kernel evaluates the
 brackets of every cluster at the shifts s = -2..2 at once: the finite
 half-integer Bessel series at each cluster's anchor order, its terms laid
-out in one flat array with one segment per cluster, then four forward
+out in one array with one segment per cluster, then four forward
 recurrence steps across clusters.  The work is numpy arithmetic on the sum
 of the cluster totals, whatever the number of clusters; clusters go through
 in blocks of a fixed number of terms, so memory grows with the largest
@@ -38,6 +38,11 @@ its canonical view caches, and each pass divides by its own arguments.  A
 dataset whose terms fit in one block keeps those per-term arrays between
 passes; a larger one keeps only the cuts between its blocks, so the bound
 on memory holds.
+
+Datasets that share a design, such as the replicates of a bootstrap, can
+be evaluated side by side, each at its own parameters (``_cluster_passes``):
+their terms lie in the rows of one array, and each dataset gets the bits
+of its own pass.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ import numpy as np
 # wraps this name in cpbs.model, so it stays bound until that harness counts
 # the vectorized kernel instead
 from .bessel import log_bessel_k_half_scaled_table  # noqa: F401
-from .data import ClusteredDataset, ModelParams, _log_factorial
+from .data import ClusteredDataset, ModelParams, _log_factorial, _Replicates, _stack
 
 __all__ = [
     "compute_mu",
@@ -76,9 +81,13 @@ def _means(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
         eta = X @ beta
         mu = np.exp(eta)
     if not (mu.min() > 0.0 and mu.max() < math.inf):
-        finite = np.isfinite(eta).all()
-        raise ValueError("non-positive or non-finite means" if finite else "non-finite linear predictor")
+        raise _means_error(eta)
     return mu
+
+
+def _means_error(eta: np.ndarray) -> ValueError:
+    """The error of ``_means`` for a linear predictor whose means are not all positive and finite."""
+    return ValueError("non-positive or non-finite means" if np.isfinite(eta).all() else "non-finite linear predictor")
 
 
 def compute_mu(data: ClusteredDataset, params: ModelParams) -> np.ndarray:
@@ -127,29 +136,41 @@ _ROWS = np.abs(2 * _ORDER_OFFSETS + 2 * np.arange(4) - 5) // 2
 
 
 # clusters are evaluated in blocks of about this many series terms, so the
-# flat arrays stay a few MB however large the total count of a dataset is;
+# per-term arrays stay a few MB however large the total count of a dataset is;
 # one cluster's terms are never split, so a block holds at most this many
 # plus those of its first cluster
 _BLOCK_TERMS = 1 << 16
+# datasets of one design evaluated side by side are stacked in groups of about
+# this many terms: larger arrays spill out of a core's cache and cost more per
+# term (measured on a 2-core Xeon with 2 MB of L2 per core)
+_STACK_TERMS = 1 << 14
 
 
 class _SeriesTerms:
-    """The finite series' terms of a block of clusters, laid out as ``_log_k_block`` reads them.
+    """The finite series' terms of rows of clusters, laid out as ``_log_k_block`` reads them.
 
-    For anchor orders ``lo`` (one per cluster), the terms i = 0..lo_k of each
-    cluster form one segment of a flat array.  Everything here depends on
-    the orders alone: the segment ``size``s and ``starts``, the index
-    ``last`` of each segment's last term, and per term the numerator
+    A row holds the clusters of one dataset, of one block of them, or of one
+    of several datasets of a design, which ``stack`` joins.  For anchor
+    orders lo (one per cluster), the terms i = 0..lo_k of each cluster form
+    one segment of a flat array, row after row, and the running sums of
+    ``_log_k_block`` start afresh at each row's ``bounds``, so that each row
+    gets the bits it would get alone.  Everything here depends on the orders
+    alone: the segment ``size``s and ``starts``, the index ``last`` of each
+    segment's last term, the segments ``restart`` (all but each row's first)
+    and the segments ``before`` them, and per term the numerator
     (n+i)(n+1-i) and denominator factor i of log(a_i / a_(i-1)) (both 1 at
     segment starts, whose value is overwritten), n+1-i and n+1+i (exact
     integers), and per cluster the ratio numerators 2 lo + 2j - 1, j = 0..5.
     """
 
     def __init__(self, lo: np.ndarray):
+        """One row: the clusters of anchor orders ``lo``."""
         self.size = size = lo + 1
         self.starts = starts = size.cumsum() - size
         self.last = starts + lo
+        self.restart, self.before = starts[1:], slice(-1)
         n = lo.astype(np.float64).repeat(size)
+        self.bounds = [(0, n.shape[0])]
         i = (np.arange(n.shape[0]) - starts.repeat(size)).astype(np.float64)
         self.n1_minus_i = n + 1.0 - i
         self.n1_plus_i = n + 1.0 + i
@@ -158,6 +179,22 @@ class _SeriesTerms:
         i[starts] = 1.0
         self.i = i
         self.ratio_num = 2.0 * lo + (2.0 * _ORDER_OFFSETS - 1.0)
+
+    @classmethod
+    def stack(cls, rows: list) -> "_SeriesTerms":
+        """The one-row layouts ``rows``, each of m clusters, as the rows of one layout."""
+        terms = object.__new__(cls)
+        for name in ("size", "step_num", "i", "n1_minus_i", "n1_plus_i", "starts", "last", "restart"):
+            setattr(terms, name, np.concatenate([getattr(row, name) for row in rows]))
+        terms.ratio_num = np.concatenate([row.ratio_num for row in rows], axis=1)
+        lengths = np.array([row.step_num.shape[0] for row in rows])
+        firsts, m = lengths.cumsum() - lengths, rows[0].size.shape[0]
+        terms.bounds = list(zip(firsts.tolist(), (firsts + lengths).tolist()))
+        terms.starts += firsts.repeat(m)
+        terms.last += firsts.repeat(m)
+        terms.restart += firsts.repeat(m - 1)
+        terms.before = (np.arange(len(rows))[:, None] * m + np.arange(m - 1)).ravel()
+        return terms
 
 
 class _KernelLayout:
@@ -169,7 +206,9 @@ class _KernelLayout:
     ``terms``.  The terms are kept only when they all fit in one block of
     ``_BLOCK_TERMS``; over that, ``terms`` is None, only the ``cuts``
     between blocks are kept, and each pass lays out one block's terms at a
-    time, so the memory stays bounded by a block.
+    time, so the memory stays bounded by a block.  ``stack`` joins the
+    layouts of datasets of one design, each within one block, into one
+    whose terms hold a row per dataset.
     """
 
     def __init__(self, y_tot: np.ndarray):
@@ -181,6 +220,15 @@ class _KernelLayout:
             self.terms, self.cuts = _SeriesTerms(lo), None
         else:
             self.terms, self.cuts = None, np.flatnonzero(np.diff(ends // _BLOCK_TERMS)) + 1
+
+    @classmethod
+    def stack(cls, layouts: list) -> "_KernelLayout":
+        """The layouts of datasets of one design, each with its ``terms``, as one."""
+        layout = object.__new__(cls)
+        layout.lo, layout.half_y = (np.concatenate([getattr(a, name) for a in layouts]) for name in ("lo", "half_y"))
+        layout.rows = (np.concatenate([a.rows[0] for a in layouts], axis=1), np.arange(layout.lo.shape[0]))
+        layout.terms, layout.cuts = _SeriesTerms.stack([a.terms for a in layouts]), None
+        return layout
 
     def log_k(self, x: np.ndarray):
         """``_log_k_block`` over the blocks of consecutive clusters, joined."""
@@ -209,20 +257,25 @@ def _log_k_block(terms: _SeriesTerms, x: np.ndarray):
     at n = 5000).  The terms of every cluster lie in one flat array, one
     segment per cluster, so the work is O(sum_k lo_k) numpy arithmetic
     whatever the number of clusters, and the memory O(sum_k lo_k) within
-    one block; each segment's running sum restarts near zero.  Everything
-    but x is laid out once, in ``terms``; a pass divides by its own x.  The
-    next order's terms are a_i (n+1+i)/(n+1-i), plus a_n (2n+1)/x, so the
-    ratio of the two orders is a ratio of sums of the same terms, in which
-    their rounding cancels.  The forward recurrence
-    K_(lam+1) = K_(lam-1) + (2 lam / x) K_lam, stable in the direction of
-    increasing order, carries those ratios four orders further, vectorized
-    across clusters.
+    one block; each segment's running sum restarts near zero, and each
+    row's at zero.  Everything but x is laid out once, in ``terms``; a pass
+    divides by its own x.  The next order's terms are a_i (n+1+i)/(n+1-i),
+    plus a_n (2n+1)/x, so the ratio of the two orders is a ratio of sums of
+    the same terms, in which their rounding cancels.  The forward
+    recurrence K_(lam+1) = K_(lam-1) + (2 lam / x) K_lam, stable in the
+    direction of increasing order, carries those ratios four orders
+    further, vectorized across clusters.
     """
     size, starts = terms.size, terms.starts
     step = np.log(terms.step_num / ((2.0 * x).repeat(size) * terms.i))
     step[starts] = 0.0
-    step[starts[1:]] = -np.add.reduceat(step, starts)[:-1]
-    log_a = step.cumsum()
+    step[terms.restart] = -np.add.reduceat(step, starts)[terms.before]
+    if len(terms.bounds) == 1:
+        log_a = step.cumsum()
+    else:
+        log_a = np.empty_like(step)
+        for a, b in terms.bounds:
+            np.cumsum(step[a:b], out=log_a[a:b])
     log_a -= log_a[starts].repeat(size)
     peak = np.maximum.reduceat(log_a, starts)
     w = np.exp(log_a - peak.repeat(size))
@@ -237,13 +290,14 @@ def _log_k_block(terms: _SeriesTerms, x: np.ndarray):
     return 0.5 * (_LOG_HALF_PI - np.log(x)) + peak + np.log(s0), np.log(ratio).cumsum(axis=0)
 
 
-def _kernel_pass(layout: _KernelLayout, mu_tot: np.ndarray, phi: float):
+def _kernel_pass(layout: _KernelLayout, mu_tot: np.ndarray, phi, log_phi):
     """Per cluster, the scaled prefactor, the bracket B(0) and the log moments.
 
     Returns ``(prefactor, b0, logm)``, with ``b0`` and ``logm`` as
     ``_log_brackets`` returns them.  ``prefactor`` is
     log[e^(1/phi^2) / (sqrt(2 pi) phi)] less the w by which the bracket is
-    scaled; it shares sqrt(c) with the bracket.
+    scaled; it shares sqrt(c) with the bracket.  ``phi`` and ``log_phi`` =
+    math.log(phi) are numbers, or arrays with one value per cluster.
     """
     phi2 = phi * phi
     c_minus_1 = 2.0 * phi2 * mu_tot
@@ -254,7 +308,7 @@ def _kernel_pass(layout: _KernelLayout, mu_tot: np.ndarray, phi: float):
     shifted = np.logaddexp(orders[1:], orders[:5])
     b0 = log_k - layout.half_y * log_c + shifted[2]
     # 1/phi^2 - w = -2 mu_tot / (1 + sqrt(c)), formed without cancellation
-    prefactor = -2.0 * mu_tot / (1.0 + sqrt_c) - _LOG_SQRT_2PI - math.log(phi)
+    prefactor = -2.0 * mu_tot / (1.0 + sqrt_c) - _LOG_SQRT_2PI - log_phi
     return prefactor, b0, (shifted - shifted[2]).T
 
 
@@ -278,7 +332,7 @@ def _log_brackets(y_tot: np.ndarray, mu_tot: np.ndarray, phi: float):
     This builds the totals' ``_KernelLayout`` for the one call; a dataset
     keeps its own in ``canonical.kernel``.
     """
-    return _kernel_pass(_KernelLayout(y_tot), mu_tot, phi)[1:]
+    return _kernel_pass(_KernelLayout(y_tot), mu_tot, phi, math.log(phi))[1:]
 
 
 def _one_cluster(y, mu, phi):
@@ -312,7 +366,7 @@ def cluster_log_pmf(y, mu, phi: float) -> float:
     """
     y, mu, phi = _one_cluster(y, mu, phi)
     prod_term = float((y * np.log(mu)).sum() - _log_factorial(y).sum())
-    prefactor, bracket, _ = _kernel_pass(_KernelLayout(y.sum(keepdims=True)), mu.sum(keepdims=True), phi)
+    prefactor, bracket, _ = _kernel_pass(_KernelLayout(y.sum(keepdims=True)), mu.sum(keepdims=True), phi, math.log(phi))
     return float(prefactor[0]) + prod_term + float(bracket[0])
 
 
@@ -327,6 +381,82 @@ def _canonical_cluster_stats(data: ClusteredDataset, params: ModelParams):
     return mu, np.add.reduceat(mu, canon.starts), np.add.reduceat(canon.y * np.log(mu), canon.starts)
 
 
+def _kernel_groups(reps: _Replicates, rows: list):
+    """The kernel layouts that cover datasets ``rows`` of ``reps``, each with the positions a:b of ``rows`` it covers.
+
+    Each dataset has the layout of its canonical view.  Of several, those
+    whose terms fit in one block are stacked in order, as many at a time as
+    fit in ``_STACK_TERMS``; one over a block keeps its own layout, and its
+    cuts.  The layouts of groups are kept in ``reps.kernels`` until a pass
+    that does not use them.
+    """
+    if len(rows) == 1:
+        return [(reps.views[rows[0]].kernel, 0, 1)]
+    layouts = [reps.views[r].kernel for r in rows]
+    cuts, terms = [0], 0  # the groups are rows[cuts[g]:cuts[g + 1]]
+    for j, layout in enumerate(layouts):
+        size = math.inf if layout.terms is None else layout.terms.step_num.shape[0]
+        if j > cuts[-1] and terms + size > _STACK_TERMS:
+            cuts.append(j)
+            terms = 0
+        terms += size
+    cuts.append(len(rows))
+    kernels, out = {}, []
+    for a, b in zip(cuts, cuts[1:]):
+        if b - a == 1:
+            out.append((layouts[a], a, b))
+            continue
+        key = tuple(rows[a:b])
+        kernels[key] = reps.kernels.get(key) or _KernelLayout.stack(layouts[a:b])
+        out.append((kernels[key], a, b))
+    reps.kernels = kernels
+    return out
+
+
+def _cluster_passes(reps: _Replicates, rows: list, params: list) -> list:
+    """``_cluster_pass`` over datasets ``rows`` of ``reps``, each at its own ``params``.
+
+    Returns, per dataset, ``(loglik, logm, mu, mu_tot)`` or the exception its
+    pass raises.  Each dataset's product X beta is its own call; every other
+    step is one evaluation over all of them, and is elementwise or reduces
+    one dataset's values in the order a pass over that dataset alone does
+    (row by row, segment by segment, ``math.fsum`` per dataset), so each gets
+    the bits of its own pass.  math.log(phi) stays a Python float per
+    dataset, since np.log can differ from it by an ulp.
+    """
+    every = len(rows) == len(reps.views)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = _stack([reps.views[r].X @ theta.beta for r, theta in zip(rows, params)])
+        mu = np.exp(eta)
+    out = [None] * len(rows)
+    if not (mu.min() > 0.0 and mu.max() < math.inf):
+        for j in np.flatnonzero(~((mu.min(axis=1) > 0.0) & (mu.max(axis=1) < math.inf))).tolist():
+            out[j] = _means_error(eta[j])
+            mu[j] = 1.0  # a stand-in that keeps the rest of the evaluation finite
+    mu_tot = np.add.reduceat(mu, reps.starts, axis=1)
+    ylogmu = np.add.reduceat((reps.y if every else reps.y[rows]) * np.log(mu), reps.starts, axis=1)
+    q = mu_tot.shape[1]
+    kernels = []
+    for layout, a, b in _kernel_groups(reps, rows):
+        if b - a == 1:
+            phi = params[a].phi
+            kernels.append(_kernel_pass(layout, mu_tot[a], phi, math.log(phi)))
+        else:
+            phi = [theta.phi for theta in params[a:b]]
+            kernels.append(_kernel_pass(layout, mu_tot[a:b].ravel(), np.repeat(phi, q),
+                                        np.repeat([math.log(v) for v in phi], q)))
+    prefactor, b0, logm = kernels[0] if len(kernels) == 1 else map(np.concatenate, zip(*kernels))
+    parts = prefactor.reshape(-1, q) + ylogmu - (reps.lgamma if every else reps.lgamma[rows]) + b0.reshape(-1, q)
+    logm = logm.reshape(-1, q, 5)
+    for j, part in enumerate(parts):
+        if out[j] is None:
+            try:
+                out[j] = (math.fsum(part.tolist()), logm[j], mu[j], mu_tot[j])
+            except ValueError as e:
+                out[j] = e
+    return out
+
+
 def _cluster_pass(data: ClusteredDataset, params: ModelParams):
     """One Bessel pass over the canonical clusters: the log-likelihood and the moments.
 
@@ -338,11 +468,10 @@ def _cluster_pass(data: ClusteredDataset, params: ModelParams):
     shifted brackets to it, so one vectorized evaluation of
     ``_log_brackets`` serves all of them, with no loop over clusters.
     """
-    canon = data.canonical
-    mu, mu_tot, ylogmu = _canonical_cluster_stats(data, params)
-    prefactor, b0, logm = _kernel_pass(canon.kernel, mu_tot, params.phi)
-    parts = prefactor + ylogmu - canon.lgamma + b0
-    return math.fsum(parts.tolist()), logm, mu, mu_tot
+    out = _cluster_passes(_Replicates([data]), [0], [params])[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def log_likelihood(data: ClusteredDataset, params: ModelParams) -> float:

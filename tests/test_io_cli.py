@@ -792,3 +792,35 @@ class TestSimulateCli:
         assert run_cli("simulate", "--beta", "1,2", "--out", out) == 3
         assert "beta has 2 entries but the design has 3 columns" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestFilesThatCannotBeRead:
+    """A path that exists but cannot be read exits 4; a CSV that is not UTF-8 is a data error, 5."""
+
+    SPEC = ("--response", "y", "--cluster", "cluster", "--covariates", "x1,x2")
+
+    def test_a_directory_as_the_data_exits_4(self, tmp_path, capsys):
+        assert run_cli("fit", "--data", tmp_path, *self.SPEC, "--boot", 0) == 4
+        assert "file error" in capsys.readouterr().err
+
+    def test_a_directory_as_the_fit_report_exits_4(self, sim_csv, tmp_path):
+        _, path = sim_csv
+        out_dir = tmp_path / "diag"
+        out_dir.mkdir()
+        assert run_cli("diagnose", "--data", path, "--fit", tmp_path, "--out-dir", out_dir) == 4
+
+    def test_a_file_that_may_not_be_read_exits_4(self, sim_csv, monkeypatch):
+        import cpbs.cli
+
+        def refused(path, spec):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cpbs.cli, "load_csv", refused)
+        _, path = sim_csv
+        assert run_cli("fit", "--data", path, *self.SPEC, "--boot", 0) == 4
+
+    def test_a_csv_that_is_not_utf8_exits_5(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("cluster,y,x1,x2\nZürich,1,0.5,1\n".encode("latin-1"))
+        assert run_cli("fit", "--data", path, *self.SPEC, "--boot", 0) == 5
+        assert "not UTF-8" in capsys.readouterr().err

@@ -32,16 +32,17 @@ def _mc(data, fit):
 
 
 def _uncertify(monkeypatch, chosen):
-    """Refits numbered in ``chosen`` (in call order) come back uncertified."""
-    real, calls = estimation.em_fit, itertools.count()
+    """Refits numbered in ``chosen`` (in seed order) come back uncertified."""
+    real, calls = estimation._fit_chunk, itertools.count()
 
-    def em_fit(data, config=None):
-        fit = real(data, config)
-        if next(calls) in chosen:
-            fit.converged = False
-        return fit
+    def fit_chunk(sims, config):
+        fits = real(sims, config)
+        for fit in fits:
+            if next(calls) in chosen:
+                fit.converged = False
+        return fits
 
-    monkeypatch.setattr(estimation, "em_fit", em_fit)
+    monkeypatch.setattr(estimation, "_fit_chunk", fit_chunk)
     return calls
 
 
@@ -62,7 +63,7 @@ def test_drop_ceiling(monkeypatch, s5_small, s5_small_fit, run, ceiling, over):
         assert dropped == ceiling
         if rep_ids is not None:
             assert rep_ids.tolist() == [i for i in range(N) if i not in chosen]
-    assert next(calls) == N  # every replicate was refitted through the one lookup
+    assert next(calls) == N  # every replicate was refitted through the one chunk seam
 
 
 def test_replicates_keep_what_the_written_out_loop_gives(s5_small, s5_small_fit):
