@@ -29,15 +29,16 @@ certificate is the KKT condition of the bound.  Where a Newton step cannot
 be trusted, the loop takes one on the Hessian with its eigenvalues made
 negative, halved down to rounding; if none of its halvings rises, it stops.
 
-The loop is written once, as a generator (``_certified_fit``, with the
-Poisson-GLM start's IRLS, ``_irls``, as a sub-generator): it yields requests
-(a trial point's Bessel pass, the Louis assembly of the trial it accepts, a
-Newton solve, and the IRLS's Poisson evaluations and solves) and receives
-their answers.  ``_drive`` answers one generator's requests as they come;
-that is ``em_fit``, ``direct_ml_fit`` and ``m_step_beta``.  ``_run`` drives
-many generators over datasets of one design in lock-step, answering all
-pending requests of a kind with one stacked evaluation, in which each
-dataset gets the bits of its own.
+The loop is written once, as a generator (``_certified_fit``): it yields
+two kinds of request, a trial point's Bessel pass and the Louis assembly of
+the trial it accepts, and receives their answers.  Only these two are
+stacked, because only they cost enough to pay for it; the Newton step
+(``_newton_step``) and the Poisson-GLM start's IRLS (``m_step_beta``) are
+plain calls inside the loop.  ``_run`` drives many generators over datasets
+of one design in lock-step, answering all pending requests of a kind with
+one stacked evaluation, in which each dataset gets the bits of its own;
+``_drive`` is ``_run`` over one generator, for ``em_fit`` and
+``direct_ml_fit``.
 
 Standard errors come from a parametric bootstrap; the observed information
 serves only the Newton finish.  B datasets are simulated at the fitted
@@ -239,18 +240,8 @@ def m_step_beta(
     Solves sum_kj (y_kj - delta_k mu_kj) x_kj = 0 to ``tol`` in the score
     max-norm.  Raises RankDeficiencyError if the weighted normal equations
     are singular, MStepConvergenceError (carrying the last iterate) if the
-    inner loop does not converge.  The iteration is ``_irls``, driven alone.
-    """
-    return _drive(data, _irls(data, delta, beta_init, tol, max_iter))
-
-
-def _irls(data: ClusteredDataset, delta, beta_init, tol: float = 1e-10, max_iter: int = 100):
-    """The IRLS of ``m_step_beta``, as a generator of requests; it returns the coefficients.
-
-    It yields ("poisson", beta, offset) for the Poisson objective and means
-    at beta, and receives (ll, w), or (-inf, None) where a mean is not
-    finite; and ("solve", H, score) for a Newton step, receiving the step,
-    or a LinAlgError thrown in.  The products with X are formed here.
+    inner loop does not converge.  A plain call per fit: the lock-step of
+    ``_run`` does not stack it.
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=np.float64))
     if delta.shape != (data.q,) or np.any(delta <= 0.0):
@@ -262,7 +253,15 @@ def _irls(data: ClusteredDataset, delta, beta_init, tol: float = 1e-10, max_iter
     if beta.shape != (data.p,):
         raise ValueError(f"beta_init must have length p={data.p}")
 
-    ll, w = yield "poisson", beta, offset
+    def poisson_ll(b):
+        eta = X @ b + offset
+        with np.errstate(over="ignore"):
+            w = np.exp(eta)
+        if not np.isfinite(w).all():
+            return -np.inf, None
+        return float(y @ eta - w.sum()), w
+
+    ll, w = poisson_ll(beta)
     if not math.isfinite(ll):
         raise MStepConvergenceError("non-finite objective at beta_init", beta_last=beta)
     for _ in range(max_iter):
@@ -270,7 +269,7 @@ def _irls(data: ClusteredDataset, delta, beta_init, tol: float = 1e-10, max_iter
         if float(np.abs(score).max()) <= tol:
             return beta
         try:
-            step = yield "solve", X.T @ (X * w[:, None]), score
+            step = np.linalg.solve(X.T @ (X * w[:, None]), score)
         except np.linalg.LinAlgError:
             raise RankDeficiencyError("singular weighted normal equations in the M-step") from None
         # Newton with step halving.  The objective guard only matters for
@@ -283,7 +282,7 @@ def _irls(data: ClusteredDataset, delta, beta_init, tol: float = 1e-10, max_iter
         for _half in range(60):
             cand = beta + step
             small = float(np.abs(step).max()) <= 1e-6 * beta_scale
-            ll_new, w_new = yield "poisson", cand, offset
+            ll_new, w_new = poisson_ll(cand)
             if math.isfinite(ll_new) and (small or ll_new >= ll - slack):
                 beta, ll, w = cand, ll_new, w_new
                 improved = True
@@ -317,15 +316,16 @@ def m_step_phi(moments: ConditionalMoments) -> float:
     return max(math.sqrt(max(mean_sum - 2.0, 0.0)), PHI_FLOOR)
 
 
-def _poisson_glm_init(data: ClusteredDataset):
+def _poisson_glm_init(data: ClusteredDataset) -> ModelParams:
     """Plain Poisson fit ignoring clustering, plus method-of-moments dispersion.
 
-    A generator, as ``_irls`` is, that returns the start.  The dispersion
-    start matches the pooled Pearson overdispersion statistic to the model's
-    variance function and is clamped to [0.05, 5].  Means that underflow or
-    overflow (separated zeros) raise MStepConvergenceError.
+    The fit is ``m_step_beta`` with unit offsets, a plain call looked up by
+    its module name.  The dispersion start matches the pooled Pearson
+    overdispersion statistic to the model's variance function and is clamped
+    to [0.05, 5].  Means that underflow or overflow (separated zeros) raise
+    MStepConvergenceError.
     """
-    beta = yield from _irls(data, np.ones(data.q), np.zeros(data.p), tol=1e-8)
+    beta = m_step_beta(data, np.ones(data.q), np.zeros(data.p), tol=1e-8)
     canon = data.canonical
     try:
         mu = _means(canon.X, beta)
@@ -480,89 +480,21 @@ def _louis_passes(reps: _Replicates, rows: list, requests: list) -> list:
     return out
 
 
-def _newton_steps(reps: _Replicates, rows: list, requests: list) -> list:
-    """The answers to ("newton", score, hessian, free): each Newton step on the free coordinates and its decrement.
-
-    None when the free block of the Hessian is not negative definite.  The
-    decrement g'(-H)^-1 g is twice the gain the local quadratic predicts.
-    Requests with the same free coordinates are factored and solved as one
-    stack, in which LAPACK takes each matrix on its own; where one of them
-    is not negative definite, each half of the stack is taken on its own.
-    """
-    out, groups = [None] * len(requests), {}
-    for j, request in enumerate(requests):
-        groups.setdefault(request[3].tobytes(), []).append(j)
-    for group in groups.values():
-        free = requests[group[0]][3]
-        free = slice(None) if free.all() else free  # a slice indexes without copying
-        try:
-            chol = np.linalg.cholesky(_stack([-requests[j][2][free][:, free] for j in group]))
-        except np.linalg.LinAlgError:  # not all negative definite: each half on its own
-            if len(group) > 1:
-                half = len(group) // 2
-                for part in (group[:half], group[half:]):
-                    for j, step in zip(part, _newton_steps(reps, rows, [requests[j] for j in part])):
-                        out[j] = step
-            continue
-        g = _stack([requests[j][1][free] for j in group])
-        steps = np.linalg.solve(chol.transpose(0, 2, 1), np.linalg.solve(chol, g[..., None]))[..., 0]
-        for k, j in enumerate(group):
-            step = np.zeros_like(requests[j][1])
-            step[free] = steps[k]
-            out[j] = step, float(g[k] @ steps[k])
-    return out
-
-
-def _solves(reps: _Replicates, rows: list, requests: list) -> list:
-    """The answers to ("solve", H, score): each solution of H x = score, or the LinAlgError of a singular H."""
-    try:
-        steps = np.linalg.solve(_stack([r[1] for r in requests]), _stack([r[2] for r in requests])[..., None])
-        return list(steps[..., 0])
-    except np.linalg.LinAlgError as e:
-        return [e] if len(requests) == 1 else [_solves(reps, rows, [request])[0] for request in requests]
-
-
-def _poisson_evals(reps: _Replicates, rows: list, requests: list) -> list:
-    """The answers to ("poisson", beta, offset): the Poisson objective and means (ll, w) at beta, or (-inf, None).
-
-    With eta = X beta + offset and w = exp(eta), ll = y'eta - sum(w); a
-    mean that is not finite gives (-inf, None).
-    """
-    eta = _stack([reps.views[r].X @ beta + offset for r, (_, beta, offset) in zip(rows, requests)])
-    with np.errstate(over="ignore"):
-        w = np.exp(eta)
-    finite, total = np.isfinite(w).all(axis=1).tolist(), w.sum(axis=1)
-    return [(float(reps.views[r].y @ eta[j] - total[j]), w[j]) if finite[j] else (-np.inf, None)
-            for j, r in enumerate(rows)]
-
-
 # how each kind of request is answered, in the order a round of ``_run`` answers them
-_ANSWER = {"pass": _passes, "poisson": _poisson_evals, "louis": _louis_passes, "newton": _newton_steps,
-           "solve": _solves}
-
-
-def _drive(data: ClusteredDataset, fit):
-    """Run the generator ``fit`` over ``data`` alone to what it returns, answering each request as it comes."""
-    reps, answer = _Replicates([data]), None
-    while True:
-        try:
-            request = fit.throw(answer) if isinstance(answer, Exception) else fit.send(answer)
-        except StopIteration as stop:
-            return stop.value
-        answer = _ANSWER[request[0]](reps, [0], [request])[0]
+_ANSWER = {"pass": _passes, "louis": _louis_passes}
 
 
 def _run(reps: _Replicates, fits: list) -> list:
     """Run the generators ``fits``, one per dataset of ``reps``, in lock-step.
 
     Each round answers the pending requests of each kind in turn, all of a
-    kind at once: the trial passes and IRLS evaluations, then the Louis
-    assemblies those passes lead to, then the Newton and IRLS solves.  An
-    answer that is an exception is thrown into its generator.  Every answer
-    has the bits it would have alone (see ``_cluster_passes`` and
-    ``_louis_passes``), so each generator takes the path it takes under
-    ``_drive``.  Returns per generator what it returns, or the exception it
-    raises.
+    kind at once: the trial passes, then the Louis assemblies those passes
+    lead to.  An answer that is an exception is thrown into its generator.
+    Every answer has the bits it would have alone (see ``_cluster_passes``
+    and ``_louis_passes``), so each generator takes the path it takes when
+    it is run alone.  Everything else a fit computes (its Newton steps, the
+    IRLS of its Poisson start) is a plain call inside the generator.
+    Returns per generator what it returns, or the exception it raises.
     """
     results, pending = [None] * len(fits), {}
 
@@ -583,6 +515,31 @@ def _run(reps: _Replicates, fits: list) -> list:
                 for r, a in zip(rows, answer(reps, rows, [pending.pop(r) for r in rows])):
                     advance(r, a)
     return results
+
+
+def _drive(data: ClusteredDataset, fit):
+    """Run the generator ``fit`` over ``data`` alone by ``_run``: what it returns, or raise what it raises."""
+    result = _run(_Replicates([data]), [fit])[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _newton_step(score: np.ndarray, hessian: np.ndarray, free: np.ndarray):
+    """The Newton step on the free coordinates and its decrement, or None.
+
+    None when the free block of the Hessian is not negative definite.  The
+    decrement g'(-H)^-1 g is twice the gain the local quadratic predicts.
+    """
+    free = slice(None) if free.all() else free  # a slice indexes without copying
+    g = score[free]
+    try:
+        chol = np.linalg.cholesky(-hessian[free][:, free])
+    except np.linalg.LinAlgError:
+        return None
+    step = np.zeros_like(score)
+    step[free] = np.linalg.solve(chol.T, np.linalg.solve(chol, g))
+    return step, float(g @ step[free])
 
 
 def _psi_chart(cur: _Pass):
@@ -678,7 +635,7 @@ def _certified_fit(data: ClusteredDataset, config: EmConfig | None, method: str)
     config = EmConfig() if config is None else config
     data.assert_full_rank()
     p = data.p
-    start = config.init if isinstance(config.init, ModelParams) else (yield from _poisson_glm_init(data))
+    start = config.init if isinstance(config.init, ModelParams) else _poisson_glm_init(data)
     cur = yield from _full_pass(start)
     trace = []
     converged = False
@@ -688,10 +645,10 @@ def _certified_fit(data: ClusteredDataset, config: EmConfig | None, method: str)
         free = np.ones(p + 1, dtype=bool)
         free[p] = not (cur.params.phi <= PHI_FLOOR and cur.score[p] <= 0.0)
         psi = False
-        newton = yield "newton", cur.score, cur.hessian, free
+        newton = _newton_step(cur.score, cur.hessian, free)
         if newton is None and free[p]:
             psi = True
-            newton = yield "newton", *_psi_chart(cur), free
+            newton = _newton_step(*_psi_chart(cur), free)
         if newton is not None:
             step, decrement = newton
             # ``or ()``: a _try_step that returns its outcome at once, not as a generator, is taken too

@@ -27,7 +27,8 @@ def test_tracer_and_fit_capture_install_and_restore(s5_small, s5_small_fit):
         layers.install_tracer(tracer, patches)
         layers.install_fit_capture(patches, {})
         # the replicates of envelopes and MC are drawn through the traced name;
-        # they are refitted in chunks, which call no em_fit
+        # they are refitted in chunks, which call no em_fit, and each cold
+        # start of an MC replicate runs the traced m_step_beta
         cpbs.simulated_envelopes(s5_small, s5_small_fit, m=20, seed=1, workers=1)
         run_mc_study(McConfig(q=3, n_k=25, theta_true=S5_TRUTH, reps=2, seed=21), workers=1)
     finally:
@@ -35,3 +36,4 @@ def test_tracer_and_fit_capture_install_and_restore(s5_small, s5_small_fit):
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in bound)
     assert tracer.totals("estimation.em_fit")["calls"] == 0
     assert tracer.totals("simulate.simulate_responses")["calls"] == 22
+    assert tracer.totals("estimation.m_step_beta")["calls"] == 2

@@ -2,9 +2,10 @@
 
 The bootstrap, the envelopes and the Monte Carlo study refit their
 replicates in chunks (``estimation._refit_replicates``), each chunk one
-lock-step run of the fit loop whose passes, Louis assemblies and Newton
-solves are evaluated for all its replicates at once.  Neither the chunk
-size nor a replicate's neighbours may change a bit of what it keeps.
+lock-step run of the fit loop whose Bessel passes and Louis assemblies are
+evaluated for all its replicates at once; each replicate's Newton steps and
+Poisson-start IRLS are plain calls of its own.  Neither the chunk size nor a
+replicate's neighbours may change a bit of what it keeps.
 """
 
 import numpy as np
@@ -183,19 +184,18 @@ def test_stacked_passes_give_each_dataset_its_own_bits(monkeypatch):
     assert sims[4].canonical.kernel.terms is None  # evaluated alone, block by block
 
 
-def test_newton_solves_of_a_stack_with_a_matrix_that_is_not_definite():
+def test_newton_step_is_none_exactly_where_the_hessian_is_not_negative_definite():
     rng = np.random.default_rng(2)
-    requests = []
+    free = np.ones(4, dtype=bool)
     for k in range(7):
         a = rng.normal(size=(4, 4))
         h = -(a @ a.T + 4.0 * np.eye(4))
         if k in (2, 5):
             h[0, 0] = 10.0  # not negative definite
-        requests.append(("newton", rng.normal(size=4), h, np.ones(4, dtype=bool)))
-    got = estimation._newton_steps(None, None, requests)
-    for request, step in zip(requests, got):
-        want = estimation._newton_steps(None, None, [request])[0]
-        assert (step is None) == (want is None)
-        if want is not None:
-            assert step[0].tobytes() == want[0].tobytes() and step[1] == want[1]
-    assert [step is None for step in got] == [k in (2, 5) for k in range(7)]
+        g = rng.normal(size=4)
+        newton = estimation._newton_step(g, h, free)
+        assert (newton is None) == (k in (2, 5))
+        if newton is not None:
+            step, decrement = newton
+            np.testing.assert_allclose(-h @ step, g, rtol=1e-12, atol=1e-12)
+            assert decrement == g @ step
