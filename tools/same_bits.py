@@ -6,7 +6,7 @@
 A change that must move no bit runs this on the tree before it and on the
 tree after it, at one worker and at two, and compares the four digests.  The
 files are written by ``cpbs.cli.main`` in-process, into a temporary
-directory (or ``--keep DIR``, to diff two trees file by file):
+directory:
 
 - the 12 datasets of the benchmark's designs (``cpbs simulate``): the paper
   cell (q=7, n_k=300) at seeds 1-8, q=1000 clusters of 5 at seed 1, and the
@@ -85,7 +85,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--src", type=Path, default=SRC, help="the src directory whose cpbs is run")
-    parser.add_argument("--keep", type=Path, help="write the files here (a new directory) and keep them")
     args = parser.parse_args(argv)
     src = args.src.resolve()
     sys.path.insert(0, str(src))
@@ -95,10 +94,8 @@ def main(argv=None) -> int:
         raise SystemExit(f"same_bits: imported cpbs from {cpbs.cli.__file__}, not from {src}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        out = args.keep if args.keep is not None else Path(tmp)
-        out.mkdir(parents=True, exist_ok=args.keep is None)
-        write_outputs(cpbs.cli.main, out, args.workers)
-        sha, count = digest(out)
+        write_outputs(cpbs.cli.main, Path(tmp), args.workers)
+        sha, count = digest(Path(tmp))
     print(f"same_bits: {count} files", file=sys.stderr)
     print(sha)
     return 0
