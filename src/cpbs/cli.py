@@ -19,7 +19,6 @@ the CPBS_WORKERS environment variable (1 if unset); ``--workers`` overrides.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -38,7 +37,7 @@ from .exceptions import (
     RankDeficiencyError,
     StaleFitError,
 )
-from .io import FitReport, ModelSpec, load_csv, write_dataset_csv
+from .io import FitReport, ModelSpec, csv_labels, load_csv, write_csv, write_dataset_csv
 from .mc import McConfig, run_mc_study
 from .simulate import CovariateColumn, _is_number, default_covariate_spec, simulate_dataset
 
@@ -104,11 +103,6 @@ def _within_cluster_index(data: ClusteredDataset) -> np.ndarray:
     return np.arange(1, data.n + 1) - data.offsets[data.cluster_index]
 
 
-def _reprs(*columns: np.ndarray):
-    """Each float column as the ``repr`` strings of its values, shortest round-trip."""
-    return [map(repr, c.tolist()) for c in columns]
-
-
 def cmd_diagnose(args) -> int:
     report = FitReport.from_json_file(args.fit)
     data = load_csv(args.data, report.spec)
@@ -121,34 +115,28 @@ def cmd_diagnose(args) -> int:
     params = report.params()
 
     res = pearson_residuals(data, params)
-    ids = [str(i) for i in data.ids]
-    labels = [ids[k] for k in data.cluster_index.tolist()]
-    idx = _within_cluster_index(data)
-    y = data.y_stacked
-
-    with open(f"{args.out_dir}/residuals.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cluster", "index", "y", "lambda_hat", "sigma2_hat", "r"])
-        w.writerows(zip(labels, idx.tolist(), y.tolist(), *_reprs(res.lambda_hat, res.sigma2_hat, res.r)))
+    labels = csv_labels(data)
+    idx = _within_cluster_index(data).tolist()
+    y = data.y_stacked.tolist()
+    write_csv(f"{args.out_dir}/residuals.csv", ["cluster", "index", "y", "lambda_hat", "sigma2_hat", "r"],
+              [f"{c},{i},{n},{lam!r},{s2!r},{r!r}" for c, i, n, lam, s2, r in
+               zip(labels, idx, y, res.lambda_hat.tolist(), res.sigma2_hat.tolist(), res.r.tolist())])
 
     bands = simulated_envelopes(data, params, m=args.envelope_m, seed=args.seed, workers=args.workers)
     inside = (bands.lo <= bands.sorted_r) & (bands.sorted_r <= bands.hi)
-    with open(f"{args.out_dir}/envelope.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["rank", "r_sorted", "lo", "hi", "inside"])
-        w.writerows(zip(range(1, data.n + 1), *_reprs(bands.sorted_r, bands.lo, bands.hi),
-                        inside.astype(int).tolist()))
-        w.writerow(["coverage", repr(float(bands.coverage)), "", "", ""])
+    rows = [f"{k},{r!r},{lo!r},{hi!r},{b}" for k, r, lo, hi, b in
+            zip(range(1, data.n + 1), bands.sorted_r.tolist(), bands.lo.tolist(), bands.hi.tolist(),
+                inside.astype(int).tolist())]
+    write_csv(f"{args.out_dir}/envelope.csv", ["rank", "r_sorted", "lo", "hi", "inside"],
+              rows + [f"coverage,{float(bands.coverage)!r},,,"])
 
     delta = posterior_moments(data, params).delta
     infl = gcd_one_step(data, params, delta)
     order = np.argsort(-infl.gcd1, kind="stable")
-    with open(f"{args.out_dir}/gcd.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["rank", "cluster", "index", "y", "gcd1", "a", "g"])
-        w.writerows(zip(range(1, data.n + 1), map(labels.__getitem__, order.tolist()),
-                        idx[order].tolist(), y[order].tolist(),
-                        *_reprs(infl.gcd1[order], infl.a[order], infl.g[order])))
+    write_csv(f"{args.out_dir}/gcd.csv", ["rank", "cluster", "index", "y", "gcd1", "a", "g"],
+              [f"{k},{labels[i]},{idx[i]},{y[i]},{g1!r},{a!r},{g!r}" for k, i, g1, a, g in
+               zip(range(1, data.n + 1), order.tolist(), infl.gcd1[order].tolist(), infl.a[order].tolist(),
+                   infl.g[order].tolist())])
     return EXIT_OK
 
 
@@ -228,12 +216,9 @@ def cmd_mc(args) -> int:
     report = run_mc_study(config, workers=args.workers)
     _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True), args.out)
     if args.estimates_csv:
-        names = config.param_names
-        with open(args.estimates_csv, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["rep"] + names)
-            for rid, row in zip(report.rep_ids, report.estimates):
-                w.writerow([int(rid)] + [repr(float(v)) for v in row])
+        write_csv(args.estimates_csv, ["rep", *config.param_names],
+                  [",".join([str(rid), *map(repr, row)])
+                   for rid, row in zip(report.rep_ids.tolist(), report.estimates.tolist())])
     return EXIT_OK
 
 

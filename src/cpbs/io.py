@@ -2,12 +2,22 @@
 
 CSV conventions: comma-delimited, UTF-8 (a leading byte-order mark is
 skipped), header row, '.' decimal point.  The response column must hold
-non-negative integers; categorical covariates must be pre-encoded as 0/1
-columns by the caller.  Rows are grouped by the cluster column in order of
-first appearance.  Each needed column is converted in bulk, one pass per
-column; when any cell fails, the rows are scanned in order, so an error names
-the first bad row (blank lines are not counted) and, within it, the label,
-then the response, then the covariates in spec order.
+non-negative integers below 2**63; categorical covariates must be
+pre-encoded as 0/1 columns by the caller.  Rows are grouped by the cluster
+column in order of first appearance.  A file with no quote character, none
+of the rarer line ends of ``str.splitlines`` and no line longer than both
+``int``'s digit limit and ``csv``'s field limit allow is read by numpy's C
+reader in one call.  Any other file, and any file in which that reader
+refuses a cell or warns, or finds an empty label, a negative count or a
+non-finite cell, is scanned row by row with
+``csv.reader``; only the scan raises, so an error names the first bad row
+(blank lines are not counted) and, within it, the label, then the
+response, then the covariates in spec order.
+
+Every CSV the package writes goes through ``write_csv``: CRLF line ends,
+``csv``'s minimal quoting of labels and names (``_csv_cells``), integers by
+``str`` and floats by ``repr``, the shortest string that reads back to the
+same double.
 
 Fit reports are JSON documents (schema shipped under ``cpbs/schemas/``) with
 per-coefficient estimate/SE/z/p, the dispersion estimate with SE only (no
@@ -25,8 +35,11 @@ import copy
 import csv
 import json
 import math
+import sys
+import warnings
 from dataclasses import dataclass
-from operator import itemgetter
+from io import StringIO
+from itertools import chain
 
 import numpy as np
 
@@ -99,6 +112,8 @@ def _parse_count(raw: str, row_num: int, col: str) -> int:
         ) from None
     if value < 0:
         raise ResponseTypeError(f"row {row_num}: response must be non-negative (got {value})")
+    if value >= 2**63:
+        raise ResponseTypeError(f"row {row_num}: response must be below 2**63 (got {value})")
     return value
 
 
@@ -129,29 +144,69 @@ def _parse_rows(rows, spec: ModelSpec, i_label, i_y, i_x, width):
         labels.append(label)
         y.append(_parse_count(row[i_y], row_num, spec.response))
         x.append([_parse_real(row[i], row_num, c) for i, c in i_x])
-    return labels, y, np.array(x, dtype=np.float64).reshape(len(rows), len(i_x))
+    return labels, np.array(y, dtype=np.int64), np.array(x, dtype=np.float64).reshape(len(rows), len(i_x))
 
 
-def _bulk_columns(rows, i_label, i_y, i_x, width):
-    """Convert each needed column in one pass, or return None if any cell fails.
+def _scan_columns(text: str, spec: ModelSpec, path):
+    """The columns by ``csv.reader`` and ``_parse_rows``: every error is raised here."""
+    reader = csv.reader(StringIO(text, newline=""))
+    header = next(reader, [])
+    needed = [spec.response, spec.cluster, *spec.covariates]
+    missing = [c for c in needed if c not in header]
+    if missing:
+        raise MissingColumnError(f"missing column(s) in {path}: {', '.join(missing)}")
+    rows = list(filter(None, reader))
+    if not rows:
+        raise MissingValueError(f"no data rows in {path}")
+    index = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+    i_x = [(index[c], c) for c in spec.covariates]
+    width = max(index[c] for c in needed) + 1
+    return _parse_rows(rows, spec, index[spec.cluster], index[spec.response], i_x, width)
 
-    ``int`` and ``float`` strip surrounding whitespace as ``_parse_count``
-    and ``_parse_real`` do, so every cell that passes here parses to the
-    same value there.
+
+# csv's quote, and the line ends of str.splitlines beyond csv.reader's CR, LF and CRLF
+_NOT_PLAIN = '"\v\f\x1c\x1d\x1e\x85\u2028\u2029'
+
+
+def _longest_line() -> int:
+    """The longest line numpy may read: ``int`` refuses a numeral of more
+    digits than ``sys.get_int_max_str_digits()`` (0: no limit; Python 3.10
+    before 3.10.7 has none) and ``csv.reader`` a cell longer than
+    ``csv.field_size_limit()``; numpy does neither."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return min(digits, csv.field_size_limit()) if digits else csv.field_size_limit()
+
+
+def _numpy_columns(text: str, spec: ModelSpec):
+    """The columns by numpy's C reader, or None to leave the file to ``_scan_columns``.
+
+    In a text without ``_NOT_PLAIN``, ``str.splitlines`` gives csv.reader's
+    rows and a comma ends a cell.  numpy refuses every numeral that it would
+    read differently from ``int`` or ``float`` (``1_000``, non-ASCII digits,
+    counts of 2**63 or more) but for very long numerals, so a longer line than
+    ``_longest_line()``, a refused cell, a whitespace-only row, an empty label,
+    a negative count or a non-finite cell leaves the file to the scan.  So
+    does any warning: an older numpy reads a count of ``3.0`` as 3 with only
+    a DeprecationWarning.
     """
-    if min(map(len, rows)) < width:
+    lines = text.splitlines()
+    if not lines or not lines[0] or any(map(text.__contains__, _NOT_PLAIN)):
         return None
-    labels = list(map(str.strip, map(itemgetter(i_label), rows)))
-    if "" in labels:
+    header, *rows = filter(None, lines)  # blank lines are not rows
+    index = {name: i for i, name in enumerate(header.split(","))}
+    if (not rows or max(map(len, lines)) > _longest_line()
+            or not all(c in index for c in (spec.response, spec.cluster, *spec.covariates))):
         return None
-    X = np.empty((len(rows), len(i_x)))
+    dtype = np.dtype([("label", object), ("y", np.int64), ("x", np.float64, (len(spec.covariates),))])
     try:
-        y = list(map(int, map(itemgetter(i_y), rows)))
-        for j, (i, _) in enumerate(i_x):
-            X[:, j] = np.fromiter(map(float, map(itemgetter(i), rows)), np.float64, len(rows))
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                               usecols=[index[c] for c in (spec.cluster, spec.response, *spec.covariates)])
+    except (ValueError, Warning):  # a cell numpy refuses or reads with a warning, or a row too short
         return None
-    if min(y) < 0 or not np.isfinite(X).all():
+    labels, y, X = list(map(str.strip, table["label"].tolist())), table["y"], table["x"]
+    if len(table) != len(rows) or "" in labels or (y < 0).any() or not np.isfinite(X).all():
         return None
     return labels, y, X
 
@@ -164,45 +219,54 @@ def load_csv(path, spec: ModelSpec) -> ClusteredDataset:
     The stacked design is checked for full column rank.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader, [])
-            needed = [spec.response, spec.cluster, *spec.covariates]
-            missing = [c for c in needed if c not in header]
-            if missing:
-                raise MissingColumnError(f"missing column(s) in {path}: {', '.join(missing)}")
-            rows = list(filter(None, reader))
+            text = fh.read()
         except UnicodeDecodeError as e:
             raise DataFormatError(f"{path} is not UTF-8 text ({e})") from None
-    if not rows:
-        raise MissingValueError(f"no data rows in {path}")
-    index = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
-    i_label, i_y = index[spec.cluster], index[spec.response]
-    i_x = [(index[c], c) for c in spec.covariates]
-    width = max(index[c] for c in needed) + 1
-    labels, y, X = (_bulk_columns(rows, i_label, i_y, i_x, width)
-                    or _parse_rows(rows, spec, i_label, i_y, i_x, width))
-    del rows  # free the cells before the columns are copied
+    labels, y, X = _numpy_columns(text, spec) or _scan_columns(text, spec, path)
     if spec.intercept:
         X = np.column_stack([np.ones(len(labels)), X])
     codes = {label: k for k, label in enumerate(dict.fromkeys(labels))}
     cluster = np.fromiter(map(codes.__getitem__, labels), np.int64, len(labels))
     perm = np.argsort(cluster, kind="stable")
     offsets = np.concatenate([[0], np.cumsum(np.bincount(cluster))])
-    data = ClusteredDataset.from_columns(list(codes), np.array(y, dtype=np.int64)[perm], X[perm], offsets)
+    data = ClusteredDataset.from_columns(list(codes), y[perm], X[perm], offsets)
     data.assert_full_rank()
     return data
+
+
+def _csv_cells(values) -> list[str]:
+    """Each value as ``csv.writer`` writes it inside a row: quoted only when it must be."""
+    buf = StringIO()
+    writerow = csv.writer(buf).writerow
+    # each row is the cell, then an empty cell's ",\r\n"
+    lengths = [writerow((value, "")) for value in values]
+    text, start, cells = buf.getvalue(), 0, []
+    for n in lengths:
+        cells.append(text[start:start + n - 3])
+        start += n
+    return cells
+
+
+def csv_labels(data: ClusteredDataset) -> list[str]:
+    """Each stacked row's cluster label as ``_csv_cells`` writes it, formatted once per cluster."""
+    cells = _csv_cells(data.ids)
+    return [cells[k] for k in data.cluster_index.tolist()]
+
+
+def write_csv(path, header, lines) -> None:
+    """Write the ``header`` names and then ``lines``, each a row already
+    joined by commas, as ``csv.writer`` would: the header quoted by
+    ``_csv_cells``, every line ended by CRLF."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("\r\n".join(chain([",".join(_csv_cells(header))], lines)) + "\r\n")
 
 
 def write_dataset_csv(path, data: ClusteredDataset, spec: ModelSpec):
     """Write a dataset in the same CSV convention ``load_csv`` reads."""
     Xcov = data.X_stacked[:, 1:] if spec.intercept else data.X_stacked
-    ids = [data.ids[k] for k in data.cluster_index.tolist()]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([spec.cluster, spec.response, *spec.covariates])
-        for label, y, x in zip(ids, data.y_stacked.tolist(), Xcov.tolist()):
-            writer.writerow([label, y] + [repr(v) for v in x])
+    columns = [csv_labels(data), map(str, data.y_stacked.tolist()), *(map(repr, x) for x in Xcov.T.tolist())]
+    write_csv(path, [spec.cluster, spec.response, *spec.covariates], map(",".join, zip(*columns)))
 
 
 def _two_sided_p(z: float) -> float:

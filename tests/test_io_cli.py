@@ -5,13 +5,18 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jsonschema
 
+import cpbs.io
 from cpbs import ClusteredDataset, ModelParams, load_csv
 from cpbs.cli import main as cli_main
 from cpbs.diagnostics import gcd_one_step, pearson_residuals, simulated_envelopes
@@ -39,7 +44,7 @@ SPEC = ModelSpec(response="y", cluster="region", covariates=("age", "female"))
 
 
 def reference_load_csv(path, spec):
-    """The row-by-row loader, kept as the oracle for ``load_csv``'s bulk conversion."""
+    """The row-by-row loader, kept as the oracle for ``load_csv``'s numpy reader."""
     labels, y, x = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -63,7 +68,7 @@ def reference_load_csv(path, spec):
 ROWS = "a,1,0.5,0\nb,2,0.1,1\na,0,0.7,1\nc,3,0.9,0\nb,1,0.3,0\nc,0,0.2,1\n"
 HEADER = "region,y,age,female\n"
 
-# (CSV text, spec): every file loads; the bulk path must give the oracle's bits
+# (CSV text, spec): every file loads; load_csv must give the oracle's bits
 PARITY_CORPUS = {
     "whitespace_padded": (HEADER + " a , 1 ,0.5 , 0\nb,\t2, 0.1,1 \n a,0 ,0.7,1\nc , 3,0.9,0\nb,1,0.3,0\nc,0,0.2,1\n",
                           SPEC),
@@ -79,6 +84,148 @@ PARITY_CORPUS = {
                                               intercept=False)),
     "intercept_only": (HEADER + ROWS, ModelSpec(response="y", cluster="region", covariates=())),
 }
+
+
+# cells for the property test: ones both readers take, and every kind of cell
+# on which numpy and int/float could disagree or an error is raised
+GOOD_CELLS = {
+    "label": ["a", "b", " c ", "c#1", "é", "01"],
+    "count": ["0", "1", "12", "+3", "007", " 2 ", "-0", "9223372036854775807"],
+    "real": ["0.5", "-1e-3", ".5", "5.", "7E-1", "+2", " 0.25 ", "0", "1"],
+}
+BAD_CELLS = {
+    "label": ["", " ", "\t", "#", "a\x00", "north, east", 'say "hi"', "a\r\nb", "x\x0cy", "x\u2028y", "a" * 131073],
+    "count": ["-1", "1_000", "1_0", "\u0661\u0662", "\uff13", "9223372036854775808", "3.0", "1e3", "nan", "", "x",
+              "\x0c4", "- 1", "0" * 4300 + "1"],
+    "real": ["1_0", "nan", "inf", "-inf", "1e500", "", "x", "\uff11", "0x1p3", "infinity", " "],
+}
+COLUMN_KIND = {"region": "label", "y": "count", "age": "real", "female": "real", "note": "label"}
+
+
+def csv_cell(text, quote=False):
+    """``text`` as a CSV cell: quoted when asked, or when it holds a comma, a quote or a line end."""
+    return '"' + text.replace('"', '""') + '"' if quote or any(x in text for x in ',"\r\n') else text
+
+
+@st.composite
+def csv_texts(draw):
+    """A file of good cells, then up to two edits: a bad cell, a quoted cell,
+    a short row, a blank or whitespace-only line, a missing column."""
+    header = [*draw(st.permutations(["region", "y", "age", "female"])),
+              *draw(st.lists(st.sampled_from(["note", "age", "y"]), max_size=2))]  # extra or repeated names
+    kinds = [COLUMN_KIND[name] for name in header]
+    rows = [[draw(st.sampled_from(GOOD_CELLS[kind])) for kind in kinds] for _ in range(draw(st.integers(3, 8)))]
+    edits = st.tuples(st.sampled_from(["bad", "bad", "quote", "short", "blank", "missing"]),
+                      st.integers(0, len(rows) - 1), st.integers(0, len(header) - 1))
+    quote, width, blank = set(), {}, {}
+    for edit, i, j in draw(st.lists(edits, max_size=2)):
+        if edit == "bad":  # a column of each kind is as likely
+            kind = draw(st.sampled_from(sorted(BAD_CELLS)))
+            j = draw(st.sampled_from([j for j, k in enumerate(kinds) if k == kind]))
+            rows[i][j] = draw(st.sampled_from(BAD_CELLS[kind]))
+        elif edit == "quote":
+            quote.add((i, j))
+        elif edit == "short":
+            width[i] = j
+        elif edit == "blank":
+            blank[i] = draw(st.sampled_from(["", " ", "\t"]))
+        else:
+            header[j] = "gone"
+    lines = [",".join(header)]
+    for i, row in enumerate(rows):
+        if i in blank:
+            lines.append(blank[i])
+        lines.append(",".join(csv_cell(c, (i, j) in quote) for j, c in enumerate(row[:width.get(i)])))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end after the last row
+    return ("\ufeff" if draw(st.integers(0, 4)) == 0 else "") + text
+
+
+def load_outcome(path, spec):
+    try:
+        data = load_csv(path, spec)
+    except Exception as e:
+        return type(e), str(e)
+    return data.ids, data.y_stacked.tolist(), data.X_stacked.tobytes(), data.offsets.tolist(), data.content_hash()
+
+
+def plain_file(tmp_path, column, cell):
+    rows = [["a", "1", "0.5", "0"], ["b", "2", "0.1", "1"], ["a", "0", "0.7", "1"], ["c", "3", "0.9", "0"]]
+    rows[2][column] = cell
+    p = tmp_path / "d.csv"
+    p.write_text(HEADER + "".join(",".join(row) + "\n" for row in rows), encoding="utf-8", newline="")
+    return p
+
+
+BAD = [(kind, cell) for kind, cells in BAD_CELLS.items() for cell in cells]
+
+
+@pytest.mark.parametrize("kind, cell", BAD, ids=[f"{kind}-{cell[:12]!r}" for kind, cell in BAD])
+def test_each_bad_cell_in_a_plain_file_gets_the_row_scans_outcome(tmp_path, kind, cell):
+    p = plain_file(tmp_path, {"label": 0, "count": 1, "real": 3}[kind], csv_cell(cell))
+    got = load_outcome(p, SPEC)
+    with mock.patch.object(cpbs.io, "_numpy_columns", return_value=None):
+        assert got == load_outcome(p, SPEC)
+
+
+@pytest.mark.parametrize("outer", ["ignore", "default", "error"])
+def test_a_count_numpy_reads_with_a_warning_is_left_to_the_scan(tmp_path, outer):
+    """Older numpy reads a count of 3.0 as 3 with only a DeprecationWarning;
+    whatever the caller's warning filter, the file goes to the scan."""
+    real = np.loadtxt
+
+    def old_loadtxt(rows, **kw):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return real([row.replace("3.0", "3") for row in rows], **kw)
+
+    p = plain_file(tmp_path, 1, "3.0")
+    with warnings.catch_warnings(), mock.patch.object(np, "loadtxt", old_loadtxt):
+        warnings.simplefilter(outer)
+        got = load_outcome(p, SPEC)
+    assert got[0] is ResponseTypeError and got[1].startswith("row 4: response column 'y' must hold integers")
+
+
+@pytest.mark.parametrize("limit, column, cell", [
+    ("digits", 1, "0" * 640 + "1"),
+    ("digits", 1, "0" * 4299 + "1"),
+    ("field", 0, "a" * 101),
+    ("field", 3, "0." + "5" * 99),
+], ids=["digits-641", "digits-4300", "field-label", "field-real"])
+def test_a_lowered_limit_sends_longer_lines_to_the_scan(tmp_path, limit, column, cell):
+    """``int``'s digit limit and ``csv``'s field limit are the caller's; numpy knows neither."""
+    p = plain_file(tmp_path, column, cell)
+    old = sys.get_int_max_str_digits() if limit == "digits" else csv.field_size_limit()
+    try:
+        if limit == "digits":
+            sys.set_int_max_str_digits(640)
+        else:
+            csv.field_size_limit(100)
+        got = load_outcome(p, SPEC)
+        with mock.patch.object(cpbs.io, "_numpy_columns", return_value=None):
+            assert got == load_outcome(p, SPEC)
+    finally:
+        if limit == "digits":
+            sys.set_int_max_str_digits(old)
+        else:
+            csv.field_size_limit(old)
+    assert isinstance(got[0], type) and issubclass(got[0], ResponseTypeError if limit == "digits" else csv.Error)
+
+
+@pytest.fixture(scope="module")
+def scratch_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("property") / "d.csv"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(text=csv_texts())
+def test_numpy_reader_agrees_with_the_row_scan(scratch_csv, text):
+    scratch_csv.write_text(text, encoding="utf-8", newline="")
+    got = load_outcome(scratch_csv, SPEC)
+    with mock.patch.object(cpbs.io, "_numpy_columns", return_value=None):
+        want = load_outcome(scratch_csv, SPEC)
+    assert got == want
 
 
 class TestLoadCsv:
@@ -147,6 +294,25 @@ class TestLoadCsv:
         assert np.array_equal(back.y_stacked, data.y_stacked)
         np.testing.assert_array_equal(back.X_stacked, data.X_stacked)
 
+    def test_dataset_csv_matches_csv_writer_and_reads_back(self, tmp_path):
+        from cpbs import simulate_dataset
+
+        sim = simulate_dataset(4, 3, ModelParams(beta=np.array([0.5, 0.2, -0.1]), phi=0.3), seed=2)
+        ids = ["north, east", 'say "hi"', "two\nlines", " padded"]  # the last is stripped on reading
+        data = ClusteredDataset.from_columns(ids, sim.y_stacked, sim.X_stacked, sim.offsets)
+        spec = ModelSpec(response="y", cluster="region, quoted", covariates=("x1", 'x"2'))
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_dataset_csv(got, data, spec)
+        with open(want, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow([spec.cluster, spec.response, *spec.covariates])
+            for k, y, x in zip(data.cluster_index.tolist(), data.y_stacked.tolist(), data.X_stacked.tolist()):
+                w.writerow([ids[k], y, *map(repr, x[1:])])
+        assert got.read_bytes() == want.read_bytes()
+        back = load_csv(got, spec)
+        assert back.ids == (*ids[:3], "padded")
+        assert np.array_equal(back.y_stacked, data.y_stacked) and np.array_equal(back.X_stacked, data.X_stacked)
+
 
     def test_interleaved_rows_load_to_the_same_dataset(self, tmp_path):
         params = ModelParams(beta=np.array([0.2, 0.3]), phi=0.4)
@@ -203,6 +369,12 @@ class TestLoadCsv:
         assert load("repeated_header_reads_last").X_stacked[:, 1].tolist() == [0, 2, 9, 4, 9, 9]
         assert load("numerals").y_stacked.tolist() == [3, 0, 1000, 1, 3, 0]
         assert load("no_intercept").p == 2 and load("intercept_only").p == 1
+
+    def test_plain_files_take_the_numpy_reader(self):
+        # quoted cells and numerals numpy refuses are left to the row scan
+        scanned = {"quoted_labels_with_commas", "numerals"}
+        for case, (text, spec) in PARITY_CORPUS.items():
+            assert (cpbs.io._numpy_columns(text, spec) is None) == (case in scanned), case
 
     @pytest.mark.parametrize("header, rows, error, message", [
         # the first bad row is a label error; later rows are bad in the response and a covariate
@@ -500,6 +672,14 @@ class TestCliWorkflow:
         write_csv(p, ["c", "y", "x"], [["a", "oops", 1.0]])
         code = self.run_cli("fit", "--data", p, "--response", "y", "--cluster", "c", "--covariates", "x")
         assert code == 5
+
+    def test_a_count_of_2_to_the_63_exits_5(self, tmp_path, capsys):
+        p = tmp_path / "huge.csv"
+        p.write_text("cluster,y,x1\na,1,0.5\na,9223372036854775808,1.5\nb,2,2.5\nb,0,0.1\n")
+        code = self.run_cli("fit", "--data", p, "--response", "y", "--cluster", "cluster", "--covariates", "x1")
+        assert code == 5
+        assert capsys.readouterr().err == (
+            "data error [non-integer-response]: row 3: response must be below 2**63 (got 9223372036854775808)\n")
 
     def test_exit_code_rank(self, tmp_path):
         p = tmp_path / "rank.csv"

@@ -1,4 +1,4 @@
-"""One SHA-256 over 98 seeded outputs of the ``cpbs`` command line.
+"""One SHA-256 over 103 seeded outputs of the ``cpbs`` command line.
 
     python3 tools/same_bits.py --workers 1
     python3 tools/same_bits.py --workers 2 --src path/to/other/checkout/src
@@ -15,7 +15,11 @@ directory:
   with ``--boot 5 --seed 3``;
 - the three ``cpbs diagnose`` CSVs of each em report, with 20 envelope
   replicates seeded by the dataset's seed;
-- a 16-replicate ``cpbs mc`` report of the paper cell and its estimates CSV.
+- a 16-replicate ``cpbs mc`` report of the paper cell and its estimates CSV;
+- a copy of the paper cell's seed-1 dataset whose labels hold a comma and a
+  doubled quote, with CRLF line ends, so that ``load_csv`` reads it by its
+  ``csv`` row scan; its em ``--boot 0`` report and its three diagnose CSVs,
+  which quote every label.
 
 The digest covers each file's path relative to that directory and its
 bytes, in path order.  Standard output is the digest alone; a command that
@@ -31,6 +35,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import csv  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -49,27 +54,45 @@ FIT_ARGS = ["--response", "y", "--cluster", "cluster", "--covariates", "x1,x2"]
 BOOTS = {"boot0": ["--boot", "0"], "boot5": ["--boot", "5", "--seed", "3"]}
 
 
+def write_quoted_copy(src: Path, dst: Path) -> None:
+    """``src`` with each label holding a comma and a doubled quote, and CRLF line ends."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows([f'{label}, say "hi"', *rest] for label, *rest in rows)
+
+
 def write_outputs(main, out: Path, workers: int) -> None:
+    jobs = ["--workers", workers]
+
     def run(*argv):
         code = main([str(a) for a in argv])
         if code != 0:
             raise SystemExit(f"same_bits: `cpbs {' '.join(map(str, argv))}` exited {code}")
 
-    jobs = ["--workers", workers]
+    def diagnose(label, seed):
+        (out / f"{label}.diagnose").mkdir()
+        run("diagnose", "--data", out / f"{label}.csv", "--fit", out / f"{label}.em.boot0.json", "--out-dir",
+            out / f"{label}.diagnose", "--envelope-m", 20, "--seed", seed, *jobs)
+
     for family, simulate, seeds in DATASETS:
         for seed in seeds:
             label = f"{family}-{seed}"
-            csv = out / f"{label}.csv"
-            run("simulate", *simulate, "--phi", "0.45", "--seed", seed, "--out", csv)
+            data = out / f"{label}.csv"
+            run("simulate", *simulate, "--phi", "0.45", "--seed", seed, "--out", data)
             for method in ("em", "direct"):
                 for boot, boot_args in BOOTS.items():
-                    run("fit", "--data", csv, *FIT_ARGS, "--method", method, *boot_args, *jobs,
+                    run("fit", "--data", data, *FIT_ARGS, "--method", method, *boot_args, *jobs,
                         "--out", out / f"{label}.{method}.{boot}.json")
-            (out / f"{label}.diagnose").mkdir()
-            run("diagnose", "--data", csv, "--fit", out / f"{label}.em.boot0.json", "--out-dir",
-                out / f"{label}.diagnose", "--envelope-m", 20, "--seed", seed, *jobs)
+            diagnose(label, seed)
     run("mc", "--reps", 16, "--seed", 4, *jobs, "--estimates-csv", out / "mc.estimates.csv",
         "--out", out / "mc.json")
+    write_quoted_copy(out / "paper-1.csv", out / "quoted-1.csv")
+    run("fit", "--data", out / "quoted-1.csv", *FIT_ARGS, "--method", "em", *BOOTS["boot0"], *jobs,
+        "--out", out / "quoted-1.em.boot0.json")
+    diagnose("quoted-1", 1)
 
 
 def digest(out: Path) -> tuple[str, int]:
