@@ -16,7 +16,9 @@ cluster bounds, the groups of rows that share cluster and X, and the rank
 of X), and a response part (the row permutation, y and the canonical X).
 ``with_responses`` shares the design part with the dataset it derives from,
 so a simulated replicate sorts only the counts within those groups, and not
-at all when no two rows of a cluster share X.
+at all when no two rows of a cluster share X.  ``_Design.views`` makes the
+response parts of one dataset or of a chunk of replicates in one pass:
+``canonical`` calls it on one row of counts, ``_Replicates`` on a chunk's.
 
 Containers are treated as immutable after construction; all evaluation code
 is pure, so instances are safe to share across threads.
@@ -128,9 +130,10 @@ class _Design:
     ``groups`` numbers, along ``order``, the runs of rows that share their
     cluster and every covariate, within which the counts decide the
     canonical order; it is None when no two rows of a cluster share X, and
-    ``order`` is then the canonical order itself, and ``X`` and ``X_t``,
-    built on first use, are the canonical X of every dataset of the design.
-    ``rank`` is the column rank of X, computed on first use.
+    ``order`` is then the canonical order itself, and ``X``, the rows of X
+    in ``order``, and ``X_t``, built on first use, are the canonical X of
+    every dataset of the design.  ``rank`` is the column rank of X,
+    computed on first use.
     """
 
     def __init__(self, ids, X: np.ndarray, offsets: np.ndarray):
@@ -144,7 +147,7 @@ class _Design:
         self.starts = np.cumsum(self.sizes) - self.sizes
         self.cluster_order = cluster_order
         self._X_stacked = X
-        X = X[self.order]
+        self.X = X = X[self.order]
         cluster = np.repeat(np.arange(q), self.sizes)
         tied = (cluster[1:] == cluster[:-1]) & (X[1:] == X[:-1]).all(axis=1)
         self.groups = np.concatenate([[0], np.cumsum(~tied)]) if np.any(tied) else None
@@ -154,17 +157,28 @@ class _Design:
         return int(np.linalg.matrix_rank(self._X_stacked))
 
     @cached_property
-    def X(self) -> np.ndarray:
-        return self._X_stacked[self.order]
-
-    @cached_property
     def X_t(self) -> np.ndarray:
         return np.ascontiguousarray(self.X.T)
 
-    def view(self, y, y_tot, lgamma) -> "_CanonicalView":
-        """The canonical view of counts ``y`` in ``order``, when ``groups`` is None."""
-        return _CanonicalView(y, self.X, self.X_t, self.starts, self.sizes, self.order, self.cluster_order,
-                              y_tot, lgamma)
+    def views(self, Y: np.ndarray) -> list:
+        """The canonical views of the count rows ``Y`` (R x n, in stacked order), one per row.
+
+        With tied rows, one stable lexsort orders each row's counts within the
+        groups, row after row, as a sort of that row alone would.
+        """
+        R, n = Y.shape
+        y = Y.take(self.order, axis=1)
+        if self.groups is None:
+            perm, X, X_t = [self.order] * R, [self.X] * R, [self.X_t] * R
+        else:
+            rows = np.arange(R)[:, None]
+            s = np.lexsort((y.ravel(), (self.groups + (self.groups[-1] + 1) * rows).ravel()))
+            perm, y = self.order[s.reshape(R, n) - n * rows], y.ravel()[s].reshape(R, n)
+            X = self._X_stacked.take(perm, axis=0)
+            X_t = np.ascontiguousarray(X.transpose(0, 2, 1))
+        y_tot, lgamma = np.add.reduceat(y, self.starts, axis=1), np.add.reduceat(_log_factorial(y), self.starts, axis=1)
+        return [_CanonicalView(*arrays, starts=self.starts, sizes=self.sizes, cluster_order=self.cluster_order)
+                for arrays in zip(y, X, X_t, perm, y_tot, lgamma)]
 
 
 @dataclass(frozen=True)
@@ -188,12 +202,12 @@ class _CanonicalView:
     y: np.ndarray
     X: np.ndarray
     X_t: np.ndarray
-    starts: np.ndarray
-    sizes: np.ndarray
     perm: np.ndarray
-    cluster_order: np.ndarray
     y_tot: np.ndarray
     lgamma: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    cluster_order: np.ndarray
 
     @cached_property
     def kernel(self):
@@ -295,17 +309,7 @@ class ClusteredDataset:
         Ties left are bitwise-identical rows, so their relative order cannot
         affect any downstream arithmetic.
         """
-        design = self._design
-        perm = design.order
-        if design.groups is not None:
-            perm = perm[np.lexsort((self.y_stacked[perm], design.groups))]
-        y = self.y_stacked[perm]
-        y_tot, lgamma = np.add.reduceat(y, design.starts), np.add.reduceat(_log_factorial(y), design.starts)
-        if design.groups is None:
-            return design.view(y, y_tot, lgamma)
-        X = self.X_stacked[perm]
-        return _CanonicalView(y, X, np.ascontiguousarray(X.T), design.starts, design.sizes, perm,
-                              design.cluster_order, y_tot, lgamma)
+        return self._design.views(self.y_stacked[None])[0]
 
     def assert_full_rank(self):
         """Raise RankDeficiencyError unless the stacked design has full column rank."""
@@ -362,30 +366,26 @@ class _Replicates:
     ``views`` are their canonical views; ``y``, ``y_tot`` and ``lgamma``
     stack their canonical counts, count totals and log-factorial sums, one
     row per dataset; ``X_t`` is the canonical X transposed, shared (p x n)
-    or, on a design with tied rows, one per dataset (R x p x n).  Without
-    tied rows, the views of two or more datasets are made here from one
-    gather of all their counts, and each dataset keeps its own.  ``kernels``
-    holds the Bessel kernel's layouts of groups of the datasets, which
-    ``model._kernel_groups`` keeps from one pass to the next.
+    or, on a design with tied rows, one per dataset (R x p x n).  A view a
+    dataset has cached is reused; those of two or more that have none are
+    made here by one ``_Design.views``, and each dataset keeps its own.  One
+    alone is made by its ``canonical``, the build that the benchmark's trace
+    counts per fitted dataset.  ``kernels`` holds the Bessel kernel's
+    layouts of groups of the datasets, which ``model._kernel_groups`` keeps
+    from one pass to the next.
     """
 
     def __init__(self, datasets):
         design = datasets[0]._design
         self.starts, self.sizes, self.p = design.starts, design.sizes, datasets[0].p
         self.kernels = {}
-        if len(datasets) == 1 or design.groups is not None:
-            self.views = [d.canonical for d in datasets]
-            self.y, self.y_tot, self.lgamma = (_stack([getattr(v, a) for v in self.views])
-                                               for a in ("y", "y_tot", "lgamma"))
-            self.X_t = self.views[0].X_t if design.groups is None else _stack([v.X_t for v in self.views])
-            return
-        self.y = np.stack([d.y_stacked for d in datasets])[:, design.order]
-        self.y_tot = np.add.reduceat(self.y, design.starts, axis=1)
-        self.lgamma = np.add.reduceat(_log_factorial(self.y), design.starts, axis=1)
-        self.views = list(map(design.view, self.y, self.y_tot, self.lgamma))
-        for data, view in zip(datasets, self.views):
-            data.__dict__["canonical"] = view
-        self.X_t = design.X_t
+        fresh = [d for d in datasets if "canonical" not in vars(d)]
+        if len(fresh) > 1:
+            for data, view in zip(fresh, design.views(np.stack([d.y_stacked for d in fresh]))):
+                vars(data)["canonical"] = view
+        self.views = [d.canonical for d in datasets]
+        self.y, self.y_tot, self.lgamma = (_stack([getattr(v, a) for v in self.views]) for a in ("y", "y_tot", "lgamma"))
+        self.X_t = design.X_t if design.groups is None else _stack([v.X_t for v in self.views])
 
 
 @dataclass(frozen=True)

@@ -150,12 +150,15 @@ def _parse_rows(rows, spec: ModelSpec, i_label, i_y, i_x, width):
 def _scan_columns(text: str, spec: ModelSpec, path):
     """The columns by ``csv.reader`` and ``_parse_rows``: every error is raised here."""
     reader = csv.reader(StringIO(text, newline=""))
-    header = next(reader, [])
+    try:
+        header = next(reader, [])
+        rows = list(filter(None, reader))
+    except csv.Error as e:  # such as a cell longer than csv.field_size_limit()
+        raise DataFormatError(f"line {reader.line_num} of {path}: {e}") from None
     needed = [spec.response, spec.cluster, *spec.covariates]
     missing = [c for c in needed if c not in header]
     if missing:
         raise MissingColumnError(f"missing column(s) in {path}: {', '.join(missing)}")
-    rows = list(filter(None, reader))
     if not rows:
         raise MissingValueError(f"no data rows in {path}")
     index = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column

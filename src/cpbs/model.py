@@ -41,8 +41,9 @@ on memory holds.
 
 Datasets that share a design, such as the replicates of a bootstrap, can
 be evaluated side by side, each at its own parameters (``_cluster_passes``):
-their terms lie in the rows of one array, and each dataset gets the bits
-of its own pass.
+the same constructor lays out their totals as the rows of one layout, whose
+running sums restart at each row, and each dataset gets the bits of its own
+pass.
 """
 
 from __future__ import annotations
@@ -140,9 +141,10 @@ _ROWS = np.abs(2 * _ORDER_OFFSETS + 2 * np.arange(4) - 5) // 2
 # one cluster's terms are never split, so a block holds at most this many
 # plus those of its first cluster
 _BLOCK_TERMS = 1 << 16
-# datasets of one design evaluated side by side are stacked in groups of about
+# datasets of one design evaluated side by side are laid out in groups of about
 # this many terms: larger arrays spill out of a core's cache and cost more per
-# term (measured on a 2-core Xeon with 2 MB of L2 per core)
+# term (measured on a 2-core Xeon with 2 MB of L2 per core); at most
+# _BLOCK_TERMS, so that a dataset over a block is always alone
 _STACK_TERMS = 1 << 14
 
 
@@ -150,27 +152,32 @@ class _SeriesTerms:
     """The finite series' terms of rows of clusters, laid out as ``_log_k_block`` reads them.
 
     A row holds the clusters of one dataset, of one block of them, or of one
-    of several datasets of a design, which ``stack`` joins.  For anchor
-    orders lo (one per cluster), the terms i = 0..lo_k of each cluster form
-    one segment of a flat array, row after row, and the running sums of
-    ``_log_k_block`` start afresh at each row's ``bounds``, so that each row
-    gets the bits it would get alone.  Everything here depends on the orders
-    alone: the segment ``size``s and ``starts``, the index ``last`` of each
-    segment's last term, the segments ``restart`` (all but each row's first)
-    and the segments ``before`` them, and per term the numerator
-    (n+i)(n+1-i) and denominator factor i of log(a_i / a_(i-1)) (both 1 at
-    segment starts, whose value is overwritten), n+1-i and n+1+i (exact
-    integers), and per cluster the ratio numerators 2 lo + 2j - 1, j = 0..5.
+    of several datasets of a design laid out together.  For anchor orders lo
+    (one per cluster, a row of them or a 2-d stack of rows), the terms
+    i = 0..lo_k of each cluster form one segment of a flat array, row after
+    row, and the running sums of ``_log_k_block`` start afresh at each row's
+    ``bounds``, so that each row gets the bits it would get alone.
+    Everything here depends on the orders alone: the segment ``size``s and
+    ``starts``, the index ``last`` of each segment's last term, the segments
+    ``restart`` (all but each row's first) and the segments ``before`` them,
+    and per term the numerator (n+i)(n+1-i) and denominator factor i of
+    log(a_i / a_(i-1)) (both 1 at segment starts, whose value is
+    overwritten), n+1-i and n+1+i (exact integers), and per cluster the
+    ratio numerators 2 lo + 2j - 1, j = 0..5.
     """
 
     def __init__(self, lo: np.ndarray):
-        """One row: the clusters of anchor orders ``lo``."""
+        m = lo.shape[-1]
+        lo = lo.ravel()
         self.size = size = lo + 1
-        self.starts = starts = size.cumsum() - size
+        ends = size.cumsum()
+        self.starts = starts = ends - size
         self.last = starts + lo
-        self.restart, self.before = starts[1:], slice(-1)
+        self.restart = starts.reshape(-1, m)[:, 1:].ravel()
+        self.before = np.arange(lo.shape[0]).reshape(-1, m)[:, :-1].ravel()
+        row_ends = ends[m - 1 :: m].tolist()
+        self.bounds = list(zip([0, *row_ends[:-1]], row_ends))
         n = lo.astype(np.float64).repeat(size)
-        self.bounds = [(0, n.shape[0])]
         i = (np.arange(n.shape[0]) - starts.repeat(size)).astype(np.float64)
         self.n1_minus_i = n + 1.0 - i
         self.n1_plus_i = n + 1.0 + i
@@ -180,55 +187,31 @@ class _SeriesTerms:
         self.i = i
         self.ratio_num = 2.0 * lo + (2.0 * _ORDER_OFFSETS - 1.0)
 
-    @classmethod
-    def stack(cls, rows: list) -> "_SeriesTerms":
-        """The one-row layouts ``rows``, each of m clusters, as the rows of one layout."""
-        terms = object.__new__(cls)
-        for name in ("size", "step_num", "i", "n1_minus_i", "n1_plus_i", "starts", "last", "restart"):
-            setattr(terms, name, np.concatenate([getattr(row, name) for row in rows]))
-        terms.ratio_num = np.concatenate([row.ratio_num for row in rows], axis=1)
-        lengths = np.array([row.step_num.shape[0] for row in rows])
-        firsts, m = lengths.cumsum() - lengths, rows[0].size.shape[0]
-        terms.bounds = list(zip(firsts.tolist(), (firsts + lengths).tolist()))
-        terms.starts += firsts.repeat(m)
-        terms.last += firsts.repeat(m)
-        terms.restart += firsts.repeat(m - 1)
-        terms.before = (np.arange(len(rows))[:, None] * m + np.arange(m - 1)).ravel()
-        return terms
-
 
 class _KernelLayout:
-    """What the Bessel kernel derives from a dataset's cluster count totals.
+    """What the Bessel kernel derives from cluster count totals.
 
-    Built once per set of totals (``_CanonicalView.kernel`` caches it with a
-    dataset's counts): the anchor orders ``lo`` = max(y_tot - 3, 0), the
-    table ``rows`` each order reads, ``half_y`` = 0.5 y_tot, and the series
-    ``terms``.  The terms are kept only when they all fit in one block of
-    ``_BLOCK_TERMS``; over that, ``terms`` is None, only the ``cuts``
-    between blocks are kept, and each pass lays out one block's terms at a
-    time, so the memory stays bounded by a block.  ``stack`` joins the
-    layouts of datasets of one design, each within one block, into one
-    whose terms hold a row per dataset.
+    Built once per set of totals: a dataset's canonical view caches the
+    layout of its own (``_CanonicalView.kernel``), and ``_kernel_groups``
+    lays out the totals of several datasets of a design, a 2-d stack of
+    rows, in one.  It holds the anchor orders ``lo`` = max(y_tot - 3, 0),
+    the table ``rows`` each order reads, ``half_y`` = 0.5 y_tot, all
+    flattened row after row, and the series ``terms``.  The terms are kept
+    when each row's fit in one block of ``_BLOCK_TERMS``, as every row of a
+    stack does.  One row over a block keeps only the ``cuts`` between its
+    blocks, with ``terms`` None, and each pass lays out one block's terms at
+    a time, so the memory stays bounded by a block.
     """
 
     def __init__(self, y_tot: np.ndarray):
-        self.lo = lo = np.maximum(y_tot - 3, 0)
-        self.half_y = 0.5 * y_tot
-        self.rows = (_ROWS[:, np.minimum(y_tot, 3)], np.arange(y_tot.shape[0]))
-        ends = (lo + 1).cumsum()
-        if ends[-1] < _BLOCK_TERMS:  # one block, without the search for cuts
+        lo = np.maximum(y_tot - 3, 0)
+        self.lo, self.half_y = lo.ravel(), 0.5 * y_tot.ravel()
+        self.rows = (_ROWS[:, np.minimum(y_tot, 3).ravel()], np.arange(lo.size))
+        ends = (lo + 1).cumsum(axis=-1)
+        if ends[..., -1].max() < _BLOCK_TERMS:  # one block a row, without the search for cuts
             self.terms, self.cuts = _SeriesTerms(lo), None
         else:
             self.terms, self.cuts = None, np.flatnonzero(np.diff(ends // _BLOCK_TERMS)) + 1
-
-    @classmethod
-    def stack(cls, layouts: list) -> "_KernelLayout":
-        """The layouts of datasets of one design, each with its ``terms``, as one."""
-        layout = object.__new__(cls)
-        layout.lo, layout.half_y = (np.concatenate([getattr(a, name) for a in layouts]) for name in ("lo", "half_y"))
-        layout.rows = (np.concatenate([a.rows[0] for a in layouts], axis=1), np.arange(layout.lo.shape[0]))
-        layout.terms, layout.cuts = _SeriesTerms.stack([a.terms for a in layouts]), None
-        return layout
 
     def log_k(self, x: np.ndarray):
         """``_log_k_block`` over the blocks of consecutive clusters, joined."""
@@ -270,12 +253,9 @@ def _log_k_block(terms: _SeriesTerms, x: np.ndarray):
     step = np.log(terms.step_num / ((2.0 * x).repeat(size) * terms.i))
     step[starts] = 0.0
     step[terms.restart] = -np.add.reduceat(step, starts)[terms.before]
-    if len(terms.bounds) == 1:
-        log_a = step.cumsum()
-    else:
-        log_a = np.empty_like(step)
-        for a, b in terms.bounds:
-            np.cumsum(step[a:b], out=log_a[a:b])
+    log_a = np.empty_like(step)
+    for a, b in terms.bounds:
+        np.add.accumulate(step[a:b], out=log_a[a:b])
     log_a -= log_a[starts].repeat(size)
     peak = np.maximum.reduceat(log_a, starts)
     w = np.exp(log_a - peak.repeat(size))
@@ -384,33 +364,29 @@ def _canonical_cluster_stats(data: ClusteredDataset, params: ModelParams):
 def _kernel_groups(reps: _Replicates, rows: list):
     """The kernel layouts that cover datasets ``rows`` of ``reps``, each with the positions a:b of ``rows`` it covers.
 
-    Each dataset has the layout of its canonical view.  Of several, those
-    whose terms fit in one block are stacked in order, as many at a time as
-    fit in ``_STACK_TERMS``; one over a block keeps its own layout, and its
-    cuts.  The layouts of groups are kept in ``reps.kernels`` until a pass
-    that does not use them.
+    Consecutive datasets whose terms fit in one block are grouped in order,
+    as many at a time as fit in ``_STACK_TERMS``, and each group of several
+    is laid out once from its rows of ``reps.y_tot``.  A group of one reads
+    the layout of its dataset's canonical view, with its cuts if it is over
+    a block.  The layouts are kept in ``reps.kernels`` until a pass that
+    does not use them.
     """
     if len(rows) == 1:
         return [(reps.views[rows[0]].kernel, 0, 1)]
-    layouts = [reps.views[r].kernel for r in rows]
+    y_tot = reps.y_tot if len(rows) == len(reps.views) else reps.y_tot[rows]
     cuts, terms = [0], 0  # the groups are rows[cuts[g]:cuts[g + 1]]
-    for j, layout in enumerate(layouts):
-        size = math.inf if layout.terms is None else layout.terms.step_num.shape[0]
+    for j, size in enumerate(np.maximum(y_tot - 2, 1).sum(axis=1).tolist()):  # the sum of lo + 1
         if j > cuts[-1] and terms + size > _STACK_TERMS:
             cuts.append(j)
             terms = 0
         terms += size
     cuts.append(len(rows))
-    kernels, out = {}, []
+    kernels = {}
     for a, b in zip(cuts, cuts[1:]):
-        if b - a == 1:
-            out.append((layouts[a], a, b))
-            continue
         key = tuple(rows[a:b])
-        kernels[key] = reps.kernels.get(key) or _KernelLayout.stack(layouts[a:b])
-        out.append((kernels[key], a, b))
+        kernels[key] = reps.views[rows[a]].kernel if b - a == 1 else reps.kernels.get(key) or _KernelLayout(y_tot[a:b])
     reps.kernels = kernels
-    return out
+    return list(zip(kernels.values(), cuts, cuts[1:]))
 
 
 def _cluster_passes(reps: _Replicates, rows: list, params: list) -> list:

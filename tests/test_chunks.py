@@ -17,6 +17,7 @@ from cpbs.diagnostics import _sorted_residuals
 from cpbs.exceptions import CpbsError, MStepConvergenceError
 from cpbs.simulate import simulate_responses
 from conftest import S5_TRUTH
+from test_data import TIES_COVARIATES, TIES_TRUTH
 from test_estimation import _intercept_only_floor_dataset, _quasi_separated_replicate
 
 N = 20  # replicates of each kind
@@ -57,15 +58,26 @@ def fit_alone(sim, config):
         return e
 
 
+@pytest.fixture(scope="module")
+def tied_small():
+    """A design whose rows of a cluster share X, so that each replicate's counts decide their order."""
+    data = simulate_dataset(5, 60, TIES_TRUTH, seed=1205, covariates=TIES_COVARIATES)
+    assert data._design.groups is not None
+    return data, em_fit(data)
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3, estimation._CHUNK], ids=lambda c: f"chunk{c}")
-@pytest.mark.parametrize("kind", sorted(KINDS))
-def test_each_replicate_keeps_the_bits_of_its_own_fit(monkeypatch, s5_small, s5_small_fit, kind, chunk):
+@pytest.mark.parametrize("kind, tied", [(kind, tied) for tied in (False, True) for kind in sorted(KINDS)],
+                         ids=[kind + tied for tied in ("", "-tied") for kind in sorted(KINDS)])
+def test_each_replicate_keeps_the_bits_of_its_own_fit(monkeypatch, s5_small, s5_small_fit, tied_small, kind, tied,
+                                                      chunk):
     keep, warm = KINDS[kind]
-    params = s5_small_fit.params if warm else S5_TRUTH
+    data, fit, truth = (*tied_small, TIES_TRUTH) if tied else (s5_small, s5_small_fit, S5_TRUTH)
+    params = fit.params if warm else truth
     seeds = _util.replicate_seeds(3, N)
-    want = refit_alone(s5_small, params, seeds, keep, warm)
+    want = refit_alone(data, params, seeds, keep, warm)
     monkeypatch.setattr(estimation, "_CHUNK", chunk)
-    got = estimation._refit_replicates(s5_small, params, seeds, keep, warm, 1.0, "replicates", 1)
+    got = estimation._refit_replicates(data, params, seeds, keep, warm, 1.0, "replicates", 1)
     assert len(got) == N and sum(g is None for g in got) == sum(w is None for w in want)
     for g, w in zip(got, want):
         assert (g is None) == (w is None)

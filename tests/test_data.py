@@ -104,6 +104,33 @@ class TestSharedDesign:
             assert fresh.canonical.X.tobytes() == X[perm].tobytes()
 
 
+class TestOneCanonicalization:
+    """``_Design.views`` canonicalizes the counts of a chunk as each dataset's own ``canonical`` does."""
+
+    SIGNED_ZEROS = np.array([[1.0, 0.0], [1.0, -0.0], [1.0, 1.0], [1.0, -0.0]])
+
+    @pytest.mark.parametrize("design", ["untied", "tied", "signed_zeros"])
+    def test_the_views_of_a_chunk_are_each_datasets_own(self, design):
+        if design == "signed_zeros":
+            data = ClusteredDataset.from_columns(["a"], [0, 0, 0, 0], self.SIGNED_ZEROS, [0, 4])
+            Y = np.array([[3, 1, 2, 0], [0, 1, 2, 3], [1, 1, 0, 0], [2, 0, 2, 0]])
+        else:
+            covariates = TIES_COVARIATES if design == "tied" else None
+            data = simulate_dataset(20, 30, TIES_TRUTH, seed=3, covariates=covariates)
+            Y = np.random.default_rng(4).poisson(3.0, size=(5, data.n))
+        assert (data._design.groups is None) == (design == "untied")
+        views = data._design.views(Y)
+        assert len(views) == len(Y)
+        for y, view in zip(Y, views):
+            fresh = ClusteredDataset.from_columns(data.ids, y, data.X_stacked, data.offsets)
+            own = fresh.canonical
+            for field in ("perm", "y", "y_tot", "lgamma", "X", "X_t", "starts", "sizes", "cluster_order"):
+                got, want = getattr(view, field), getattr(own, field)
+                assert got.dtype == want.dtype and got.shape == want.shape, field
+                assert got.tobytes() == want.tobytes(), field
+            assert np.array_equal(view.perm, lexsort_perm(fresh)) and view.X_t.flags.c_contiguous
+
+
 class TestDesignWorkPerDesign:
     """Replicates share their design's sort and rank; only a new design builds them."""
 

@@ -22,6 +22,7 @@ from cpbs.cli import main as cli_main
 from cpbs.diagnostics import gcd_one_step, pearson_residuals, simulated_envelopes
 from cpbs.estimation import posterior_moments
 from cpbs.exceptions import (
+    DataFormatError,
     MissingColumnError,
     MissingValueError,
     RankDeficiencyError,
@@ -210,7 +211,7 @@ def test_a_lowered_limit_sends_longer_lines_to_the_scan(tmp_path, limit, column,
             sys.set_int_max_str_digits(old)
         else:
             csv.field_size_limit(old)
-    assert isinstance(got[0], type) and issubclass(got[0], ResponseTypeError if limit == "digits" else csv.Error)
+    assert got[0] is (ResponseTypeError if limit == "digits" else DataFormatError)
 
 
 @pytest.fixture(scope="module")
@@ -1004,3 +1005,12 @@ class TestFilesThatCannotBeRead:
         path.write_bytes("cluster,y,x1,x2\nZürich,1,0.5,1\n".encode("latin-1"))
         assert run_cli("fit", "--data", path, *self.SPEC, "--boot", 0) == 5
         assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quote", [False, True], ids=["unquoted", "quoted"])
+    def test_a_label_longer_than_the_csv_field_limit_exits_5(self, tmp_path, capsys, quote):
+        # too long a line for numpy's reader too, so csv.reader meets it in either case
+        path = tmp_path / "long.csv"
+        path.write_text(f"cluster,y,x1,x2\nb,1,0.5,1\n{csv_cell('a' * 200_000, quote)},2,1.5,0\nb,0,0.1,1\n")
+        assert run_cli("fit", "--data", path, *self.SPEC, "--boot", 0) == 5
+        assert capsys.readouterr().err == (
+            f"data error [data-format]: line 3 of {path}: field larger than field limit ({csv.field_size_limit()})\n")

@@ -202,3 +202,48 @@ def test_a_replicate_with_other_totals_gets_its_own_layout():
     np.testing.assert_array_equal(replicate.canonical.kernel.lo, np.maximum(replicate.canonical.y_tot - 3, 0))
     # the layout depends on the counts, so the design the replicates share holds none
     assert not any(isinstance(v, model._KernelLayout) for v in vars(data._design).values())
+
+
+def rows_of_totals(R):
+    """R rows of 8 cluster totals: each row holds 0, 1, 2 and 3, which read
+    reflected orders, and the last row's terms fall one short of a block."""
+    rng = np.random.default_rng(R)
+    y_tot = rng.integers(4, 300, size=(R, 8))
+    y_tot[:, [1, 3, 4, 6]] = [0, 1, 2, 3]
+    y_tot[-1, -1] = 0
+    y_tot[-1, -1] = model._BLOCK_TERMS + 2 - np.maximum(y_tot[-1] - 2, 1).sum()
+    return y_tot
+
+
+def assert_same_array(got, want, name):
+    assert got.dtype == want.dtype and got.shape == want.shape, name
+    assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("R", [1, 2, 5])
+def test_a_stacked_layout_is_its_rows_laid_end_to_end(R):
+    y_tot = rows_of_totals(R)
+    stack, rows = model._KernelLayout(y_tot), [model._KernelLayout(y) for y in y_tot]
+    assert rows[-1].terms.step_num.shape[0] == model._BLOCK_TERMS - 1
+    m, lengths = y_tot.shape[1], [row.terms.step_num.shape[0] for row in rows]
+    firsts = np.cumsum([0, *lengths[:-1]])
+    assert stack.terms.bounds == [(a, a + n) for a, n in zip(firsts.tolist(), lengths)]
+    # segment indices shift by the terms of the rows before, cluster indices by their clusters
+    shifts = {"starts": firsts, "last": firsts, "restart": firsts, "before": m * np.arange(R)}
+    for name in ("size", "step_num", "i", "n1_minus_i", "n1_plus_i", *shifts):
+        parts = [getattr(row.terms, name) for row in rows]
+        if name in shifts:
+            parts = [part + shift for part, shift in zip(parts, shifts[name].tolist())]
+        assert_same_array(getattr(stack.terms, name), np.concatenate(parts), name)
+    assert_same_array(stack.terms.ratio_num, np.concatenate([row.terms.ratio_num for row in rows], axis=1), "ratio_num")
+    assert_same_array(stack.rows[0], np.concatenate([row.rows[0] for row in rows], axis=1), "rows")
+    assert_same_array(stack.rows[1], np.arange(R * m), "rows")
+    for name in ("lo", "half_y"):
+        assert_same_array(getattr(stack, name), np.concatenate([getattr(row, name) for row in rows]), name)
+    # the kernel over the stack gives each row the bits of its own
+    x = np.random.default_rng(R).uniform(0.05, 50.0, R * m)
+    log_k, d = model._log_k_block(stack.terms, x)
+    for r, row in enumerate(rows):
+        want_k, want_d = model._log_k_block(row.terms, x[r * m : (r + 1) * m])
+        assert_same_array(log_k[r * m : (r + 1) * m], want_k, "log_k")
+        assert_same_array(d[:, r * m : (r + 1) * m], want_d, "d")

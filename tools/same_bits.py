@@ -1,4 +1,4 @@
-"""One SHA-256 over 103 seeded outputs of the ``cpbs`` command line.
+"""One SHA-256 over 119 seeded outputs of the ``cpbs`` command line.
 
     python3 tools/same_bits.py --workers 1
     python3 tools/same_bits.py --workers 2 --src path/to/other/checkout/src
@@ -8,9 +8,11 @@ tree after it, at one worker and at two, and compares the four digests.  The
 files are written by ``cpbs.cli.main`` in-process, into a temporary
 directory:
 
-- the 12 datasets of the benchmark's designs (``cpbs simulate``): the paper
-  cell (q=7, n_k=300) at seeds 1-8, q=1000 clusters of 5 at seed 1, and the
-  heavy totals cell (intercept 5) at seeds 3-5;
+- 14 datasets (``cpbs simulate``): the 12 of the benchmark's designs, the
+  paper cell (q=7, n_k=300) at seeds 1-8, q=1000 clusters of 5 at seed 1
+  and the heavy totals cell (intercept 5) at seeds 3-5, and a tied design
+  at seeds 1-2, the paper cell's shape with two Bernoulli covariates, whose
+  rows of a cluster share X so that the counts decide their canonical order;
 - four ``cpbs fit`` reports of each: em and direct, with ``--boot 0`` and
   with ``--boot 5 --seed 3``;
 - the three ``cpbs diagnose`` CSVs of each em report, with 20 envelope
@@ -49,6 +51,8 @@ DATASETS = [
     ("paper", ["--q", "7", "--n-k", "300", "--beta", PAPER_BETA], range(1, 9)),
     ("many", ["--q", "1000", "--n-k", "5", "--beta", PAPER_BETA], (1,)),
     ("heavy", ["--q", "7", "--n-k", "300", "--beta", "5.0,-1.25,0.75"], (3, 4, 5)),
+    ("tied", ["--q", "7", "--n-k", "300", "--beta", "1.0,0.5,-0.3", "--covariate-spec",
+              '[{"kind":"bernoulli","p":0.4},{"kind":"bernoulli","p":0.3}]'], (1, 2)),
 ]
 FIT_ARGS = ["--response", "y", "--cluster", "cluster", "--covariates", "x1,x2"]
 BOOTS = {"boot0": ["--boot", "0"], "boot5": ["--boot", "5", "--seed", "3"]}
