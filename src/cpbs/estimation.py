@@ -29,16 +29,16 @@ certificate is the KKT condition of the bound.  Where a Newton step cannot
 be trusted, the loop takes one on the Hessian with its eigenvalues made
 negative, halved down to rounding; if none of its halvings rises, it stops.
 
-The loop is written once, as a generator (``_certified_fit``): it yields
-two kinds of request, a trial point's Bessel pass and the Louis assembly of
-the trial it accepts, and receives their answers.  Only these two are
-stacked, because only they cost enough to pay for it; the Newton step
-(``_newton_step``) and the Poisson-GLM start's IRLS (``m_step_beta``) are
-plain calls inside the loop.  ``_run`` drives many generators over datasets
-of one design in lock-step, answering all pending requests of a kind with
-one stacked evaluation, in which each dataset gets the bits of its own;
-``_drive`` is ``_run`` over one generator, for ``em_fit`` and
-``direct_ml_fit``.
+The loop is written once, as a generator (``_certified_fit``) of one
+request per trial point: its parameters, the log-likelihood it must reach
+and whether it wants the Louis assembly.  ``_trials`` answers with the
+point's Bessel pass, the accept test and, for a trial that stands and asks
+for it, the Louis assembly from the same pass.  The Newton step and the
+Poisson-GLM start's IRLS (``m_step_beta``) are plain calls inside the loop.
+``_run`` drives many generators over datasets of one design in lock-step,
+answering all pending requests with one stacked ``_trials``, in which each
+dataset gets the bits of its own; ``_drive`` is ``_run`` over one
+generator, for ``em_fit`` and ``direct_ml_fit``.
 
 Standard errors come from a parametric bootstrap; the observed information
 serves only the Newton finish.  B datasets are simulated at the fitted
@@ -59,7 +59,7 @@ import numpy as np
 
 from . import _util
 from .bessel import log_bessel_k_half_scaled_table
-from .data import PHI_FLOOR, ClusteredDataset, ModelParams, _Replicates, _stack
+from .data import PHI_FLOOR, ClusteredDataset, ModelParams, _Replicates
 from .exceptions import BootstrapFailureError, CpbsError, MStepConvergenceError, RankDeficiencyError
 from .model import _canonical_cluster_stats, _cluster_pass, _cluster_passes, _log_brackets, _means, _one_cluster
 from .simulate import simulate_responses
@@ -120,8 +120,8 @@ class EmConfig:
     init: object = "poisson-glm"  # or a ModelParams
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0):
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite (got {self.epsilon!r})")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not (isinstance(self.init, ModelParams) or self.init in ("poisson-glm", None)):
@@ -174,21 +174,11 @@ def _table_log_moment(y_tot: int, mu_tot: float, phi: float, s: int) -> float:
     return float(bracket(y_tot + s) - bracket(y_tot))
 
 
-def _given_order(data: ClusteredDataset, *canonical):
-    """Arrays in canonical cluster order, rearranged to ``data.clusters`` order."""
-    order = data.canonical.cluster_order
-    out = []
-    for a in canonical:
-        b = np.empty_like(a)
-        b[order] = a
-        out.append(b)
-    return out
-
-
 def posterior_moments(data: ClusteredDataset, params: ModelParams) -> ConditionalMoments:
     """delta_k and gamma_k for every cluster at the given parameters."""
     logm = _cluster_pass(data, params)[1]
-    return ConditionalMoments(*_given_order(data, np.exp(logm[:, 3]), np.exp(logm[:, 1])))
+    given = np.argsort(data.canonical.cluster_order)  # the canonical position of each cluster in given order
+    return ConditionalMoments(np.exp(logm[given, 3]), np.exp(logm[given, 1]))
 
 
 def q_function(data: ClusteredDataset, params: ModelParams, moments: ConditionalMoments) -> float:
@@ -363,23 +353,24 @@ def _louis_pass(data: ClusteredDataset, params: ModelParams) -> _Pass:
 
 
 def _full_pass(params: ModelParams):
-    """A generator that requests the pass at ``params`` and its Louis assembly, and returns the ``_Pass``."""
-    return (yield "louis", params, (yield "pass", params))
+    """A generator that requests the pass at ``params`` with its Louis assembly, and returns the ``_Pass``."""
+    return (yield params, None, False, True)
 
 
-def _passes(reps: _Replicates, rows: list, requests: list) -> list:
-    """The answers to ("pass", params): ``model._cluster_passes`` of datasets ``rows`` of ``reps``."""
-    return _cluster_passes(reps, rows, [request[1] for request in requests])
+def _trials(reps: _Replicates, rows: list, requests: list) -> list:
+    """The answers to requests (params, floor, strict, louis) of datasets ``rows`` of ``reps``.
 
+    One stacked Bessel pass (``model._cluster_passes``) gives each trial
+    point its log-likelihood; the trial stands if that reaches ``floor``,
+    or passes it if ``strict``, and always if ``floor`` is None.  The answer
+    is the exception of a pass that fails, None for a trial that falls, and
+    the ``_Pass`` of one that stands: with the exact score and observed
+    Hessian if ``louis``, and its log-likelihood alone if not.
 
-def _louis_passes(reps: _Replicates, rows: list, requests: list) -> list:
-    """The answers to ("louis", params, (ll, logm, mu, m)): each ``_Pass`` at its params.
-
-    (ll, logm, mu, m) is the ``_cluster_pass`` of dataset ``rows[j]`` of
-    ``reps`` at those params.  With s_k = sum_j mu_kj x_kj and
-    A = T + 1/T - 2, Louis' identity gives the observed Hessian as the
-    posterior mean of the complete-data Hessian plus the posterior variance
-    of the complete-data score:
+    The Louis assembly reads its rows of the pass's stacked arrays.  With
+    s_k = sum_j mu_kj x_kj and A = T + 1/T - 2, Louis' identity gives the
+    observed Hessian as the posterior mean of the complete-data Hessian plus
+    the posterior variance of the complete-data score:
 
         H_bb = -sum_k delta_k sum_j mu x x' + sum_k Var(T) s_k s_k'
         H_bp = -sum_k s_k Cov(T, A) / phi^3
@@ -415,15 +406,22 @@ def _louis_passes(reps: _Replicates, rows: list, requests: list) -> list:
     stay Python floats per dataset; one that overflows fails its dataset
     with the OverflowError.
     """
-    out, kept, powers = [None] * len(rows), [], []
-    for j, (_, params, _) in enumerate(requests):
-        phi = params.phi
-        try:
-            powers.append((phi, phi**2, phi**3, phi**4, phi**6, phi**8, phi**10))
-        except OverflowError as e:
-            out[j] = e
+    lls, logm, mu, m = _cluster_passes(reps, rows, [request[0] for request in requests])
+    out, kept, powers = list(lls), [], []
+    for j, (ll, (params, floor, strict, louis)) in enumerate(zip(lls, requests)):
+        if isinstance(ll, Exception):
             continue
-        kept.append(j)
+        if not (floor is None or (ll > floor if strict else ll >= floor)):
+            out[j] = None
+        elif not louis:
+            out[j] = _Pass(params, ll)
+        else:
+            phi = params.phi
+            try:
+                powers.append((phi, phi**2, phi**3, phi**4, phi**6, phi**8, phi**10))
+                kept.append(j)
+            except OverflowError as e:
+                out[j] = e
     if not kept:
         return out
     # one dataset's powers stay numbers; several are spread over their clusters
@@ -431,10 +429,10 @@ def _louis_passes(reps: _Replicates, rows: list, requests: list) -> list:
         q = reps.y_tot.shape[1]
         powers = [np.array(powers).T.repeat(q, axis=1).reshape(7, -1, q)]
     phi, phi_2, phi_3, phi_4, phi_6, phi_8, phi_10 = powers[0]
-    passes = [requests[j][2] for j in kept]
+    at = slice(None) if len(kept) == len(rows) else kept  # a slice takes every row without a copy
     sub = [rows[j] for j in kept]
-    lm_m2, lm_m1, _, lm_1, lm_2 = _stack([r[1] for r in passes]).transpose(2, 0, 1)
-    mu, m = _stack([r[2] for r in passes]), _stack([r[3] for r in passes])
+    lm_m2, lm_m1, _, lm_1, lm_2 = logm.transpose(2, 0, 1)[:, at]
+    mu, m = mu[at], m[at]
     delta, gamma = np.exp(lm_1), np.exp(lm_m1)
     var_t = delta * delta * np.expm1(lm_2 - 2.0 * lm_1)
     var_inv = gamma * gamma * np.expm1(lm_m2 - 2.0 * lm_m1)
@@ -476,44 +474,36 @@ def _louis_passes(reps: _Replicates, rows: list, requests: list) -> list:
         X = reps.views[row].X
         score[k, :p] = X.T @ y_w[k]
         hessian[k, :p, :p] = s_var_s[k] - X.T @ (X * w[k][:, None])
-        out[j] = _Pass(requests[j][1], passes[k][0], score[k], hessian[k], delta[k], gamma[k])
+        out[j] = _Pass(requests[j][0], lls[j], score[k], hessian[k], delta[k], gamma[k])
     return out
-
-
-# how each kind of request is answered, in the order a round of ``_run`` answers them
-_ANSWER = {"pass": _passes, "louis": _louis_passes}
 
 
 def _run(reps: _Replicates, fits: list) -> list:
     """Run the generators ``fits``, one per dataset of ``reps``, in lock-step.
 
-    Each round answers the pending requests of each kind in turn, all of a
-    kind at once: the trial passes, then the Louis assemblies those passes
-    lead to.  An answer that is an exception is thrown into its generator.
-    Every answer has the bits it would have alone (see ``_cluster_passes``
-    and ``_louis_passes``), so each generator takes the path it takes when
-    it is run alone.  Everything else a fit computes (its Newton steps, the
-    IRLS of its Poisson start) is a plain call inside the generator.
-    Returns per generator what it returns, or the exception it raises.
+    A generator yields one request at a time, a trial point, and each round
+    answers every pending request with one ``_trials`` evaluation; an
+    answer that is an exception is thrown into its generator.  Every answer
+    has the bits it would have alone, so each generator takes the path it
+    takes when it is run alone.  Everything else a fit computes (its Newton
+    steps, the IRLS of its Poisson start) is a plain call inside the
+    generator.  Returns per generator what it returns, or the exception it
+    raises.
     """
-    results, pending = [None] * len(fits), {}
+    results = [None] * len(fits)
 
-    def advance(r, answer=None):
+    def advance(r, answer=None):  # generator r's next request, or None once it has ended
         try:
-            pending[r] = fits[r].throw(answer) if isinstance(answer, Exception) else fits[r].send(answer)
+            return fits[r].throw(answer) if isinstance(answer, Exception) else fits[r].send(answer)
         except StopIteration as stop:
             results[r] = stop.value
         except Exception as e:  # this fit's own error is its result; the others go on
             results[r] = e
 
-    for r in range(len(fits)):
-        advance(r)
-    while pending:
-        for kind, answer in _ANSWER.items():
-            rows = sorted(r for r, request in pending.items() if request[0] == kind)
-            if rows:
-                for r, a in zip(rows, answer(reps, rows, [pending.pop(r) for r in rows])):
-                    advance(r, a)
+    requests = [advance(r) for r in range(len(fits))]
+    while rows := [r for r, request in enumerate(requests) if request is not None]:
+        for r, answer in zip(rows, _trials(reps, rows, [requests[r] for r in rows])):
+            requests[r] = advance(r, answer)
     return results
 
 
@@ -560,14 +550,15 @@ def _psi_chart(cur: _Pass):
 def _try_step(cur: _Pass, step: np.ndarray, psi: bool, halvings: int, strict=False, louis=True):
     """The pass at the first of step, step/2, ... where the log-likelihood does not fall.
 
-    A generator that requests each trial's pass and returns the pass it
-    takes.  The last coordinate of ``step`` moves phi, or psi = phi^2 if
-    ``psi``, and the dispersion is projected onto phi >= PHI_FLOOR; with
-    ``strict`` a tie counts as a fall.  A trial is judged on its
-    log-likelihood alone: the score and Hessian are requested only for the
-    trial returned, and only if ``louis``.  None if every trial falls or
-    leaves the model's domain, where a domain error in that score or
-    Hessian fails the trial too.
+    A generator that requests each trial point in turn, with the
+    log-likelihood of ``cur`` as the floor it must reach, and returns the
+    ``_Pass`` of the first that stands.  The last coordinate of ``step``
+    moves phi, or psi = phi^2 if ``psi``, and the dispersion is projected
+    onto phi >= PHI_FLOOR; with ``strict`` a tie counts as a fall.  A
+    trial is judged on its log-likelihood alone: the score and Hessian are
+    formed only for the trial that stands, and only if ``louis``.  None if
+    every trial falls or leaves the model's domain, where a domain error in
+    that score or Hessian fails the trial too.
     """
     beta, phi = cur.params.beta, cur.params.phi
     for _ in range(halvings + 1):
@@ -576,10 +567,9 @@ def _try_step(cur: _Pass, step: np.ndarray, psi: bool, halvings: int, strict=Fal
         else:
             phi_new = max(phi + step[-1], PHI_FLOOR)
         try:
-            params = ModelParams(beta=beta + step[:-1], phi=phi_new)
-            trial = yield "pass", params
-            if trial[0] > cur.loglik if strict else trial[0] >= cur.loglik:
-                return (yield "louis", params, trial) if louis else _Pass(params, trial[0])
+            nxt = yield ModelParams(beta=beta + step[:-1], phi=phi_new), cur.loglik, strict, louis
+            if nxt is not None:
+                return nxt
         except (ValueError, OverflowError, FloatingPointError):
             pass
         step = 0.5 * step
@@ -603,7 +593,7 @@ def _modified_newton_step(cur: _Pass, free: np.ndarray):
     rounding = np.finfo(np.float64).eps * (1.0 + np.abs(cur.params.as_array()).max())
     # frexp(x)[1] - 1 = floor(log2 x): the halvings that keep the step at or above the rounding
     halvings = math.frexp(float(np.abs(step).max()) / rounding)[1] - 1
-    return (yield from _try_step(cur, step, psi=False, halvings=halvings, strict=True) or ())
+    return (yield from _try_step(cur, step, psi=False, halvings=halvings, strict=True))
 
 
 def _certified_fit(data: ClusteredDataset, config: EmConfig | None, method: str):
@@ -651,12 +641,11 @@ def _certified_fit(data: ClusteredDataset, config: EmConfig | None, method: str)
             newton = _newton_step(*_psi_chart(cur), free)
         if newton is not None:
             step, decrement = newton
-            # ``or ()``: a _try_step that returns its outcome at once, not as a generator, is taken too
             if decrement <= config.epsilon:
                 converged = True
-                cur = (yield from _try_step(cur, step, psi, halvings=0, louis=False) or ()) or cur
+                cur = (yield from _try_step(cur, step, psi, halvings=0, louis=False)) or cur
                 break
-            nxt = yield from _try_step(cur, step, psi, halvings=_MAX_HALVINGS) or ()
+            nxt = yield from _try_step(cur, step, psi, halvings=_MAX_HALVINGS)
             if nxt is not None:
                 cur = nxt
                 continue

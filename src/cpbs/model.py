@@ -194,19 +194,20 @@ class _KernelLayout:
     Built once per set of totals: a dataset's canonical view caches the
     layout of its own (``_CanonicalView.kernel``), and ``_kernel_groups``
     lays out the totals of several datasets of a design, a 2-d stack of
-    rows, in one.  It holds the anchor orders ``lo`` = max(y_tot - 3, 0),
-    the table ``rows`` each order reads, ``half_y`` = 0.5 y_tot, all
-    flattened row after row, and the series ``terms``.  The terms are kept
-    when each row's fit in one block of ``_BLOCK_TERMS``, as every row of a
-    stack does.  One row over a block keeps only the ``cuts`` between its
-    blocks, with ``terms`` None, and each pass lays out one block's terms at
-    a time, so the memory stays bounded by a block.
+    rows, in one.  It holds the anchor orders ``lo`` = max(y_tot - 3, 0)
+    and ``half_y`` = 0.5 y_tot, flattened row after row, the flat index
+    ``rows`` of the entry each order reads in the kernel's 6 x Q table, and
+    the series ``terms``.  The terms are kept when each row's fit in one
+    block of ``_BLOCK_TERMS``, as every row of a stack does.  One row over a
+    block keeps only the ``cuts`` between its blocks, with ``terms`` None,
+    and each pass lays out one block's terms at a time, so the memory stays
+    bounded by a block.
     """
 
     def __init__(self, y_tot: np.ndarray):
         lo = np.maximum(y_tot - 3, 0)
         self.lo, self.half_y = lo.ravel(), 0.5 * y_tot.ravel()
-        self.rows = (_ROWS[:, np.minimum(y_tot, 3).ravel()], np.arange(lo.size))
+        self.rows = _ROWS[:, np.minimum(y_tot, 3).ravel()] * lo.size + np.arange(lo.size)
         ends = (lo + 1).cumsum(axis=-1)
         if ends[..., -1].max() < _BLOCK_TERMS:  # one block a row, without the search for cuts
             self.terms, self.cuts = _SeriesTerms(lo), None
@@ -284,7 +285,7 @@ def _kernel_pass(layout: _KernelLayout, mu_tot: np.ndarray, phi, log_phi):
     sqrt_c = np.sqrt(1.0 + c_minus_1)
     log_c = np.log1p(c_minus_1)
     log_k, d = layout.log_k(sqrt_c / phi2)
-    orders = d[layout.rows] + _C_POWERS * log_c
+    orders = d.take(layout.rows) + _C_POWERS * log_c
     shifted = np.logaddexp(orders[1:], orders[:5])
     b0 = log_k - layout.half_y * log_c + shifted[2]
     # 1/phi^2 - w = -2 mu_tot / (1 + sqrt(c)), formed without cancellation
@@ -392,13 +393,16 @@ def _kernel_groups(reps: _Replicates, rows: list):
 def _cluster_passes(reps: _Replicates, rows: list, params: list) -> list:
     """``_cluster_pass`` over datasets ``rows`` of ``reps``, each at its own ``params``.
 
-    Returns, per dataset, ``(loglik, logm, mu, mu_tot)`` or the exception its
-    pass raises.  Each dataset's product X beta is its own call; every other
-    step is one evaluation over all of them, and is elementwise or reduces
-    one dataset's values in the order a pass over that dataset alone does
-    (row by row, segment by segment, ``math.fsum`` per dataset), so each gets
-    the bits of its own pass.  math.log(phi) stays a Python float per
-    dataset, since np.log can differ from it by an ulp.
+    Returns ``(logliks, logm, mu, mu_tot)``: per dataset its log-likelihood
+    or the exception its pass raises, and one row per dataset of ``logm``,
+    the canonical rows' means ``mu`` and their cluster sums ``mu_tot``, which
+    the Louis assembly reads.  Each dataset's product X beta is its own
+    call; every other step is one evaluation over all of them, and is
+    elementwise or reduces one dataset's values in the order a pass over
+    that dataset alone does (row by row, segment by segment, ``math.fsum``
+    per dataset), so each gets the bits of its own pass.  math.log(phi)
+    stays a Python float per dataset, since np.log can differ from it by an
+    ulp.
     """
     every = len(rows) == len(reps.views)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -423,31 +427,29 @@ def _cluster_passes(reps: _Replicates, rows: list, params: list) -> list:
                                         np.repeat([math.log(v) for v in phi], q)))
     prefactor, b0, logm = kernels[0] if len(kernels) == 1 else map(np.concatenate, zip(*kernels))
     parts = prefactor.reshape(-1, q) + ylogmu - (reps.lgamma if every else reps.lgamma[rows]) + b0.reshape(-1, q)
-    logm = logm.reshape(-1, q, 5)
     for j, part in enumerate(parts):
         if out[j] is None:
             try:
-                out[j] = (math.fsum(part.tolist()), logm[j], mu[j], mu_tot[j])
+                out[j] = math.fsum(part.tolist())
             except ValueError as e:
                 out[j] = e
-    return out
+    return out, logm.reshape(-1, q, 5), mu, mu_tot
 
 
 def _cluster_pass(data: ClusteredDataset, params: ModelParams):
     """One Bessel pass over the canonical clusters: the log-likelihood and the moments.
 
-    Returns ``(loglik, logm, mu, mu_tot)`` where column s + 2 of the q x 5
-    array ``logm`` holds log E(T_k^s | y) for s = -2..2, in canonical cluster
-    order; ``mu`` and ``mu_tot`` are the canonical rows' means and their
-    cluster sums, which the score and Hessian reuse.  The cluster pmf is the
-    shift-0 bracket plus the prefactor, and the moments are ratios of the
-    shifted brackets to it, so one vectorized evaluation of
-    ``_log_brackets`` serves all of them, with no loop over clusters.
+    Returns ``(loglik, logm)`` where column s + 2 of the q x 5 array
+    ``logm`` holds log E(T_k^s | y) for s = -2..2, in canonical cluster
+    order.  The cluster pmf is the shift-0 bracket plus the prefactor, and
+    the moments are ratios of the shifted brackets to it, so one vectorized
+    evaluation of ``_log_brackets`` serves all of them, with no loop over
+    clusters.
     """
-    out = _cluster_passes(_Replicates([data]), [0], [params])[0]
-    if isinstance(out, Exception):
-        raise out
-    return out
+    (loglik,), logm, _, _ = _cluster_passes(_Replicates([data]), [0], [params])
+    if isinstance(loglik, Exception):
+        raise loglik
+    return loglik, logm[0]
 
 
 def log_likelihood(data: ClusteredDataset, params: ModelParams) -> float:

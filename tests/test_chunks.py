@@ -2,11 +2,14 @@
 
 The bootstrap, the envelopes and the Monte Carlo study refit their
 replicates in chunks (``estimation._refit_replicates``), each chunk one
-lock-step run of the fit loop whose Bessel passes and Louis assemblies are
-evaluated for all its replicates at once; each replicate's Newton steps and
-Poisson-start IRLS are plain calls of its own.  Neither the chunk size nor a
-replicate's neighbours may change a bit of what it keeps.
+lock-step run of the fit loop whose trial points, each a Bessel pass and
+the Louis assembly of a trial that stands, are evaluated for all its
+replicates at once; each replicate's Newton steps and Poisson-start IRLS
+are plain calls of its own.  Neither the chunk size nor a replicate's
+neighbours may change a bit of what it keeps.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -132,6 +135,67 @@ def test_replicates_that_start_with_a_modified_newton_step(monkeypatch, seed):
     assert len(modified) >= 2  # in the chunk, and again alone
 
 
+TRIALS = estimation._trials
+
+
+def recording(monkeypatch):
+    """Record (dataset, request, answer) of each request that ``estimation._trials`` answers, from now on."""
+    log = []
+
+    def recorded(reps, rows, requests):
+        answers = TRIALS(reps, rows, requests)
+        log.extend(zip(rows, requests, answers))
+        return answers
+
+    monkeypatch.setattr(estimation, "_trials", recorded)
+    return log
+
+
+def assert_one_request_per_trial_point(log, fit):
+    """A Louis assembly for the start and for each iterate the fit moves to, and none for a trial that falls or for
+    the certification step; returns the fit's (requests, Louis assemblies)."""
+    louis = [answer for _, _, answer in log if isinstance(answer, estimation._Pass) and answer.hessian is not None]
+    fallen = [answer for _, _, answer in log if answer is None or isinstance(answer, Exception)]
+    assert log[0][1][1] is None  # the start is taken whatever its log-likelihood
+    assert [answer.loglik for answer in louis] == fit.loglik_trace[:-1].tolist()
+    assert len(louis) == fit.iterations
+    (certify,) = [(request, answer) for _, request, answer in log if not request[3]]
+    assert certify[1] is None or certify[1].hessian is None
+    assert len(log) == len(louis) + len(fallen) + (certify[1] is not None)
+    return len(log), len(louis)
+
+
+def test_a_fit_makes_one_request_per_trial_point(monkeypatch):
+    counts = []
+    for seed in range(1, 9):
+        data = simulate_dataset(7, 300, S5_TRUTH, seed=seed)
+        log = recording(monkeypatch)
+        fit = em_fit(data)
+        assert fit.converged
+        counts.append(assert_one_request_per_trial_point(log, fit))
+    # 6.9 requests and 5.5 Louis assemblies a fit; a pass and its Louis assembly were two requests
+    assert np.sum(counts, axis=0).tolist() == [55, 44]
+
+
+def test_a_chunk_makes_the_requests_of_its_fits_alone(monkeypatch):
+    # replicates 13 and 19 of paper seed 1 start with a modified Newton step
+    data = simulate_dataset(7, 300, S5_TRUTH, seed=1)
+    params = em_fit(data).params
+    sims = [simulate_responses(data, params, np.random.default_rng(ss)) for ss in _util.replicate_seeds(1, 20)]
+    config = EmConfig(init=params)
+    log = recording(monkeypatch)
+    fits = estimation._fit_chunk(sims, config)
+    for r, (sim, fit) in enumerate(zip(sims, fits)):
+        mine = [entry for entry in log if entry[0] == r]
+        alone = recording(monkeypatch)
+        assert_same_fit(fit, fit_alone(sim, config))
+        assert [request[1:] for _, request, _ in mine] == [request[1:] for _, request, _ in alone]
+        assert_one_request_per_trial_point(mine, fit)
+        if r in (13, 19):
+            assert any(request[2] for _, request, _ in mine)  # strict: the modified Newton step
+            assert any(answer is None for _, _, answer in mine)  # a trial that fell, halved
+
+
 @pytest.mark.parametrize("phi,seed", [(0.45, 3), (0.8, 6)])
 def test_replicates_whose_modified_step_is_halved_to_rounding(monkeypatch, phi, seed):
     data = simulate_dataset(5, 15, ModelParams(beta=np.array([1.0, -0.25, 0.75]), phi=phi), seed=seed)
@@ -184,15 +248,20 @@ def test_stacked_passes_give_each_dataset_its_own_bits(monkeypatch):
     monkeypatch.setattr(model, "_BLOCK_TERMS", 2000)
     reps = _Replicates(sims)
     for rows in ([0, 1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 4, 7], [0, 8], [4]):
-        passes = model._cluster_passes(reps, rows, [params[r] for r in rows])
-        louis = estimation._louis_passes(reps, rows, [("louis", params[r], out) for r, out in zip(rows, passes)])
-        for r, out, got in zip(rows, passes, louis):
+        lls = model._cluster_passes(reps, rows, [params[r] for r in rows])[0]
+        louis = estimation._trials(reps, rows, [(params[r], None, False, True) for r in rows])
+        # every other trial falls short of an infinite floor, so the others' assemblies read some rows of the pass
+        floors = [(None, math.inf)[k % 2] for k in range(len(rows))]
+        some = estimation._trials(reps, rows, [(params[r], floor, False, True) for r, floor in zip(rows, floors)])
+        for k, (r, ll, got, part) in enumerate(zip(rows, lls, louis, some)):
             fresh = ClusteredDataset.from_columns(data.ids, sims[r].y_stacked.copy(), data.X_stacked.copy(),
                                                   data.offsets.copy())
             want = estimation._louis_pass(fresh, params[r])
-            assert out[0] == want.loglik == got.loglik
+            assert ll == want.loglik == got.loglik
+            assert (part is None) == (k % 2 == 1)
             for field in ("score", "hessian", "delta", "gamma"):
-                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (r, field)
+                for answer in (got, part) if part else (got,):
+                    assert getattr(answer, field).tobytes() == getattr(want, field).tobytes(), (r, field)
     assert sims[4].canonical.kernel.terms is None  # evaluated alone, block by block
 
 

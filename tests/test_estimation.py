@@ -146,7 +146,8 @@ class TestMStepPhi:
 
 
 class TestEmFit:
-    @pytest.mark.parametrize("bad", [{"epsilon": 0.0}, {"max_iter": 0}, {"init": "moments"}])
+    @pytest.mark.parametrize("bad", [{"epsilon": 0.0}, {"epsilon": math.inf}, {"epsilon": math.nan}, {"max_iter": 0},
+                                     {"init": "moments"}])
     def test_config_rejects_bad_controls(self, bad):
         with pytest.raises(ValueError):
             EmConfig(**bad)
@@ -303,7 +304,7 @@ class TestDirectMl:
         assert both >= 4
 
     def test_stops_uncertified_when_no_step_ascends(self, s5_small, monkeypatch):
-        monkeypatch.setattr(estimation, "_try_step", lambda *args, **kwargs: None)
+        monkeypatch.setattr(estimation, "_try_step", lambda *args, **kwargs: iter(()))  # returns None at once
         for fit_fn in (direct_ml_fit, em_fit):
             fit = fit_fn(s5_small)
             assert not fit.converged and fit.iterations == 1

@@ -635,6 +635,19 @@ class TestCliWorkflow:
         assert code == 3
         assert not out.exists()  # refused before fitting
 
+    @pytest.mark.parametrize("epsilon", ["inf", "nan"])
+    def test_non_finite_epsilon_is_a_usage_error(self, sim_csv, tmp_path, capsys, epsilon):
+        # an infinite tolerance would certify the Poisson start, in a report that is not JSON
+        _, path = sim_csv
+        out = tmp_path / "eps.json"
+        code = self.run_cli(
+            "fit", "--data", path, "--response", "y", "--cluster", "cluster",
+            "--covariates", "x1,x2", "--boot", 0, "--epsilon", epsilon, "--out", out,
+        )
+        assert code == 3
+        assert not out.exists()
+        assert "epsilon must be positive and finite" in capsys.readouterr().err
+
     def test_diagnose_refuses_small_envelope_m_before_writing(self, sim_csv, fit_json, tmp_path):
         _, path = sim_csv
         out_dir = tmp_path / "diag"

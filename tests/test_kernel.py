@@ -236,8 +236,11 @@ def test_a_stacked_layout_is_its_rows_laid_end_to_end(R):
             parts = [part + shift for part, shift in zip(parts, shifts[name].tolist())]
         assert_same_array(getattr(stack.terms, name), np.concatenate(parts), name)
     assert_same_array(stack.terms.ratio_num, np.concatenate([row.terms.ratio_num for row in rows], axis=1), "ratio_num")
-    assert_same_array(stack.rows[0], np.concatenate([row.rows[0] for row in rows], axis=1), "rows")
-    assert_same_array(stack.rows[1], np.arange(R * m), "rows")
+    # ``rows`` is a flat index into the 6 x clusters table: the table row of each order, then the cluster
+    table_row, cluster = np.divmod(stack.rows, R * m)
+    assert_same_array(table_row, np.concatenate([row.rows // m for row in rows], axis=1), "rows")
+    assert_same_array(cluster, np.broadcast_to(np.arange(R * m), table_row.shape), "rows")
+    assert all((row.rows % m == np.arange(m)).all() for row in rows)
     for name in ("lo", "half_y"):
         assert_same_array(getattr(stack, name), np.concatenate([getattr(row, name) for row in rows]), name)
     # the kernel over the stack gives each row the bits of its own
